@@ -91,7 +91,6 @@ fn main() {
                     interval_ms,
                     gc_overshoot: 0,
                     schedule: parse_schedule(schedule).expect("literal schedule parses"),
-                    shards: 1,
                     backend: ChaosBackend::Disk,
                     replication: 2,
                 };

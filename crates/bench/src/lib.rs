@@ -1,7 +1,6 @@
 //! # gcr-bench — the experiment harness
 //!
 //! One binary per paper table/figure (see `src/bin/`), built on:
-//! * [`kernel`] — sharded-executor throughput grid (`BENCH_kernel.json`),
 //! * [`spec`] — experiment descriptions (workload × protocol × schedule),
 //! * [`runner`] — run one experiment in a fresh deterministic simulation,
 //! * [`sweep`] — parallel sweeps across independent simulations,
@@ -10,14 +9,12 @@
 #![warn(missing_docs)]
 
 pub mod hpl_paper;
-pub mod kernel;
 pub mod runner;
 pub mod spec;
 pub mod sweep;
 pub mod table;
 
 pub use hpl_paper::{hpl_paper_sweep, HplSweep};
-pub use kernel::{run_kernel, KernelPoint, KernelSpec};
 pub use runner::{profile_trace, resolve_groups, run_one, run_traced, TracedRun};
 pub use spec::{
     average, hpl_grid_for, with_trials, Proto, RunResult, RunSpec, Schedule, WorkloadSpec,

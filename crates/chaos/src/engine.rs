@@ -210,14 +210,12 @@ impl ChaosReport {
 pub fn run_chaos(spec: &ChaosSpec) -> ChaosReport {
     let wl = spec.workload.build();
     let n = wl.n();
-    let sim = Sim::with_shards(spec.shards.max(1));
+    let sim = Sim::new();
     let cluster = Cluster::new(&sim, chaos_cluster_spec(n));
     let world = World::new(cluster.clone(), chaos_world_opts());
     // Groups are resolved before launch (the profile trace runs on its own
-    // private Sim) so each rank's events can be attributed to its group's
-    // shard. Attribution never affects event order — see tests/determinism.rs.
+    // private Sim).
     let groups = Rc::new(spec.proto.resolve_groups(spec.workload));
-    world.set_shard_map((0..n as u32).map(|r| groups.group_of(r) as u32).collect());
     // The restore backend is installed before launch so every wave and
     // restart routes its image I/O through it. The engine keeps the
     // concrete handle: injectors and oracles need the replica table.

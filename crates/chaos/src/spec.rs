@@ -280,11 +280,6 @@ pub struct ChaosSpec {
     pub gc_overshoot: u64,
     /// The failure schedule.
     pub schedule: Vec<ChaosEvent>,
-    /// Executor shard count. Purely a kernel-layout knob: every shard
-    /// count produces the bit-identical report and digest for the same
-    /// seed (the determinism matrix in `tests/determinism.rs` enforces
-    /// this), so it is deliberately excluded from the report JSON.
-    pub shards: usize,
     /// Checkpoint image backend the run installs.
     pub backend: ChaosBackend,
     /// Replication factor k for the restore backend (ignored by disk).
@@ -384,7 +379,6 @@ impl ChaosSpec {
             interval_ms,
             gc_overshoot: 0,
             schedule,
-            shards: 1,
             backend,
             replication: 2,
         }
@@ -412,9 +406,6 @@ pub fn repro_command(spec: &ChaosSpec) -> String {
     );
     if spec.gc_overshoot > 0 {
         cmd.push_str(&format!(" --gc-overshoot {}", spec.gc_overshoot));
-    }
-    if spec.shards > 1 {
-        cmd.push_str(&format!(" --shards {}", spec.shards));
     }
     if spec.backend != ChaosBackend::Disk {
         cmd.push_str(&format!(" --backend {}", spec.backend.label()));

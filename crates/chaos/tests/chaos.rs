@@ -26,7 +26,6 @@ fn spec(
         interval_ms,
         gc_overshoot: 0,
         schedule: parse_schedule(schedule).expect("test schedule parses"),
-        shards: 1,
         backend: ChaosBackend::Disk,
         replication: 2,
     }

@@ -186,21 +186,6 @@ pub const CATALOG: &[RuleDoc] = &[
               from the (retention-lagged) committed entry, as `on_commit` does.",
     },
     RuleDoc {
-        rule: Rule::S01,
-        summary: "shard-local kernel state must stay behind the merge boundary",
-        rationale: "The sharded DES kernel is bit-identical across shard counts only \
-                    because every cross-shard interaction goes through the \
-                    merge/global-sequence path in `crates/sim/src/shard.rs` + \
-                    `executor.rs`. Any other `sim`/`mpi` file naming a shard-local \
-                    type, reaching into the `.shards` arena, or the boundary file \
-                    exporting one as bare `pub`, opens a side channel that breaks \
-                    digest invariance.",
-        example: "sh.push(HeapEntry { at, seq, slot })   // outside executor.rs",
-        fix: "Route the interaction through the executor's merge API \
-              (`spawn_on`/`schedule_call_on`); keep shard types `pub(crate)`. Only \
-              `SimStats` (merged read-only counters) is exported.",
-    },
-    RuleDoc {
         rule: Rule::W10,
         summary: "encoder field writes and decoder field reads must agree in arity and order",
         rationale: "Hand-rolled wire formats (the CVC flattened clock, ctrl payloads) \

@@ -15,14 +15,13 @@
 //! passes ([`semantic`]): transitive panic-reachability (D03-T),
 //! protocol error-flow (E01–E03) and control-protocol conformance
 //! (P01/P02). The flow-sensitive layer ([`phases`], [`dataflow`]) adds
-//! phase-order model checking (P10), determinism taint (D10), GC-floor
-//! soundness (P21) and shard isolation (S01); the conformance layer
+//! phase-order model checking (P10), determinism taint (D10) and GC-floor
+//! soundness (P21); the conformance layer
 //! ([`session`], [`wire`]) checks session tag-duality per protocol mode
 //! (P20) and wire-shape encode/decode pairing (W10). Policy tiers
 //! ([`policy`]) decide which rules apply where; inline waivers
 //! ([`suppress`]) and a committed baseline ([`baseline`]) manage the
-//! path to zero findings. An incremental cache ([`cache`]) keyed by
-//! content hashes keeps warm runs fast without changing any output.
+//! path to zero findings.
 //!
 //! Run it as `gcrsim lint`; CI runs it with `--json` and fails on any
 //! non-baseline finding.
@@ -30,7 +29,6 @@
 #![warn(missing_docs)]
 
 pub mod baseline;
-pub mod cache;
 pub mod callgraph;
 pub mod catalog;
 pub mod cfg;
@@ -75,22 +73,6 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<Finding> {
 /// produced by [`collect_workspace_files`], but any in-memory set works —
 /// the fixture tests feed synthetic workspaces).
 pub fn lint_files(files: &[(String, String)], baseline: &Baseline) -> Report {
-    lint_files_with_local(files, baseline, &mut |rel, _src, lx| {
-        rules::check(rel, lx, policy_for(rel))
-    })
-}
-
-/// [`lint_files`] with a pluggable per-file local-rule provider — the
-/// seam the incremental cache ([`cache`]) uses to substitute cached raw
-/// findings for unchanged files. The provider receives each file's
-/// workspace-relative path, contents and lexed view and returns the raw
-/// (pre-waiver) local-rule findings; everything downstream (workspace
-/// passes, waivers, baseline) is identical to the uncached path.
-pub fn lint_files_with_local(
-    files: &[(String, String)],
-    baseline: &Baseline,
-    local: &mut dyn FnMut(&str, &str, &lexer::Lexed) -> Vec<Finding>,
-) -> Report {
     let lexed: Vec<lexer::Lexed> = files.iter().map(|(_, src)| lexer::lex(src)).collect();
     let views: Vec<(&str, &lexer::Lexed)> = files
         .iter()
@@ -107,8 +89,8 @@ pub fn lint_files_with_local(
     // usage marks accumulate across every engine before staleness is
     // judged).
     let mut raw: Vec<Finding> = Vec::new();
-    for ((rel, src), lx) in files.iter().zip(&lexed) {
-        raw.extend(local(rel, src, lx));
+    for (rel, lx) in &views {
+        raw.extend(rules::check(rel, lx, policy_for(rel)));
     }
 
     // Workspace passes. Building the graph consults the waivers (panic
@@ -118,12 +100,11 @@ pub fn lint_files_with_local(
     let graph = callgraph::build(&index, &views, &mut waivers);
     raw.extend(semantic::check(&index, &graph, &views, &mut waivers));
 
-    // Flow-sensitive passes: protocol phase-order model checking (P10),
-    // determinism taint dataflow (D10) and shard isolation (S01). Their
-    // findings go through the same waiver/baseline machinery below.
+    // Flow-sensitive passes: protocol phase-order model checking (P10)
+    // and determinism taint dataflow (D10). Their findings go through the
+    // same waiver/baseline machinery below.
     raw.extend(phases::check(&index, &views));
     raw.extend(dataflow::check(&index, &graph, &views));
-    raw.extend(dataflow::shard_isolation(&views));
 
     // Conformance passes: session tag-duality per protocol mode (P20),
     // wire-shape encode/decode pairing (W10) and GC-floor soundness

@@ -39,9 +39,6 @@ pub enum Rule {
     /// GC-floor soundness: a value read from the *pending* (uncommitted)
     /// generation ledger flows into a log-trim / floor-advertise sink.
     P21,
-    /// Shard-isolation: shard-local simulator state touched outside the
-    /// merge/global-sequence boundary.
-    S01,
     /// Wire-shape pairing: an encoder's ordered field writes diverge from
     /// its decoder's field reads (arity, order, or payload type).
     W10,
@@ -69,7 +66,6 @@ impl Rule {
             Rule::P10 => "P10",
             Rule::P20 => "P20",
             Rule::P21 => "P21",
-            Rule::S01 => "S01",
             Rule::W10 => "W10",
             Rule::W00 => "W00",
             Rule::W01 => "W01",
@@ -94,7 +90,6 @@ impl Rule {
             "P10" => Some(Rule::P10),
             "P20" => Some(Rule::P20),
             "P21" => Some(Rule::P21),
-            "S01" => Some(Rule::S01),
             "W10" => Some(Rule::W10),
             "W00" => Some(Rule::W00),
             "W01" => Some(Rule::W01),
@@ -118,7 +113,6 @@ impl Rule {
         Rule::P10,
         Rule::P20,
         Rule::P21,
-        Rule::S01,
         Rule::W10,
         Rule::W00,
         Rule::W01,

@@ -72,11 +72,6 @@ struct Inner {
     pending_grants: Vec<Cell<u64>>,
     grant_pulses: Vec<Pulse>,
     send_seq: Vec<Cell<u64>>,
-    /// Executor shard each rank's events are attributed to (usually the
-    /// rank's checkpoint group). Attribution is a placement choice — it
-    /// never affects event order — so the default all-zeros map is always
-    /// correct, just unsharded.
-    shard_of: RefCell<Vec<u32>>,
     ranks_done: WaitGroup,
     finished: Cell<usize>,
 }
@@ -110,7 +105,6 @@ impl World {
                 pending_grants: (0..n).map(|_| Cell::new(0)).collect(),
                 grant_pulses: (0..n).map(|_| Pulse::new()).collect(),
                 send_seq: (0..n).map(|_| Cell::new(0)).collect(),
-                shard_of: RefCell::new(vec![0; n]),
                 ranks_done,
                 finished: Cell::new(0),
             }),
@@ -147,20 +141,6 @@ impl World {
         }
     }
 
-    /// Attribute each rank's events to an executor shard (typically the
-    /// rank's checkpoint group, taken modulo the shard count). Call before
-    /// [`World::launch`] so rank mains spawn onto their shard. Attribution
-    /// never affects event order; it only spreads the timer heaps.
-    pub fn set_shard_map(&self, map: Vec<u32>) {
-        assert_eq!(map.len(), self.inner.n, "shard map must cover every rank");
-        *self.inner.shard_of.borrow_mut() = map;
-    }
-
-    /// The executor shard `rank`'s events are attributed to.
-    pub fn shard_of(&self, rank: Rank) -> usize {
-        self.inner.shard_of.borrow()[rank.idx()] as usize
-    }
-
     /// Spawn `rank`'s application main. Completion is tracked: see
     /// [`World::wait_all_ranks`] and [`World::ranks_finished`].
     pub fn launch<F, Fut>(&self, rank: Rank, f: F)
@@ -175,7 +155,7 @@ impl World {
         let inner2 = Rc::clone(&self.inner);
         self.inner
             .sim
-            .spawn_named_on(self.shard_of(rank), format!("rank{}", rank.0), async move {
+            .spawn_named(format!("rank{}", rank.0), async move {
                 fut.await;
                 inner2.finished.set(inner2.finished.get() + 1);
                 inner2.ranks_done.done();
@@ -409,7 +389,7 @@ impl World {
     }
 
     /// Arrival of a rendezvous data transfer: runs as a scheduled call at
-    /// the delivery time, on the destination's shard.
+    /// the delivery time.
     fn deliver_rendezvous_data(&self, mut env: Envelope, slot: Rc<RefCell<RecvSlot>>) {
         env.arrived_at = self.inner.sim.now();
         if env.kind == MsgKind::App {
@@ -472,13 +452,11 @@ impl World {
             }
             let timing = net.reserve_transfer_full(src.idx(), dst.idx(), bytes + opts.header_bytes);
             let world = self.clone();
-            // In-flight message: an arena-allocated scheduled call on the
-            // destination's shard, replacing a task spawn per message.
+            // In-flight message: an arena-allocated scheduled call,
+            // replacing a task spawn per message.
             self.inner
                 .sim
-                .schedule_call_on(self.shard_of(dst), timing.delivered, move || {
-                    world.deliver(env);
-                });
+                .schedule_call(timing.delivered, move || world.deliver(env));
             self.inner.sim.sleep_until(timing.tx_done).await;
         } else {
             // Rendezvous: RTS → (match) → CTS → data.
@@ -488,13 +466,9 @@ impl World {
             {
                 let world = self.clone();
                 let rts_env = env.clone();
-                self.inner.sim.schedule_call_on(
-                    self.shard_of(dst),
-                    rts_timing.delivered,
-                    move || {
-                        world.deliver_rts(rts_env, grant_tx);
-                    },
-                );
+                self.inner.sim.schedule_call(rts_timing.delivered, move || {
+                    world.deliver_rts(rts_env, grant_tx);
+                });
             }
             let (cts_arrive, slot) = grant_rx.await.expect("receiver vanished during rendezvous");
             self.inner.sim.sleep_until(cts_arrive).await;
@@ -511,11 +485,9 @@ impl World {
             let timing = net.reserve_transfer_full(src.idx(), dst.idx(), bytes + opts.header_bytes);
             {
                 let world = self.clone();
-                self.inner
-                    .sim
-                    .schedule_call_on(self.shard_of(dst), timing.delivered, move || {
-                        world.deliver_rendezvous_data(env, slot);
-                    });
+                self.inner.sim.schedule_call(timing.delivered, move || {
+                    world.deliver_rendezvous_data(env, slot);
+                });
             }
             self.inner.sim.sleep_until(timing.tx_done).await;
         }
@@ -538,7 +510,6 @@ impl World {
         self.inner.send_gates[src.idx()].wait_open().await;
         let net = Rc::clone(self.inner.cluster.network());
         let opts = &self.inner.opts;
-        let shard = self.shard_of(dst);
         let mut envs = Vec::with_capacity(count as usize);
         let mut cost = SimDuration::ZERO;
         for _ in 0..count {
@@ -575,7 +546,7 @@ impl World {
             let world = self.clone();
             self.inner
                 .sim
-                .schedule_call_on(shard, timing.delivered, move || world.deliver(env));
+                .schedule_call(timing.delivered, move || world.deliver(env));
         }
         self.inner.sim.sleep_until(last_tx_done).await;
     }

@@ -1,4 +1,4 @@
-//! The deterministic sharded async executor at the heart of the DES.
+//! The deterministic async executor at the heart of the DES.
 //!
 //! Simulated processes (MPI ranks, protocol daemons, the `mpirun`
 //! controller…) are ordinary Rust futures. The executor interleaves them
@@ -6,17 +6,14 @@
 //! clock jumps to the next scheduled event. There is no real-time blocking
 //! anywhere, so a full 128-rank run finishes in milliseconds of wall time.
 //!
-//! Pending events are partitioned into per-group *shards* (see
-//! [`crate::shard`]), each with its own timer heap. A conservative-window
-//! merge picks the next instant: because every event carries a sequence
-//! number from one global counter, the merged order is the exact total
-//! order `(deadline, sequence)` no matter how many shards exist — shard
-//! count is a layout choice, not a semantic one.
+//! Pending events wait in one timer heap (see [`crate::queue`]) keyed by
+//! `(deadline, sequence)`, where the sequence number comes from one global
+//! schedule counter.
 //!
 //! Determinism: tasks are polled in FIFO wake order, events fire in
 //! `(deadline, sequence-number)` order, and all randomness is drawn from a
 //! seeded [`crate::rng::DetRng`]. Two runs with the same seed produce
-//! identical event schedules, at any shard count.
+//! identical event schedules.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -28,7 +25,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
 
-use crate::shard::{EventKind, EventSlot, HeapEntry, Shard, SimStats};
+use crate::queue::{EventKind, EventQueue, EventSlot, HeapEntry};
 use crate::time::{SimDuration, SimTime};
 
 /// Identifies a spawned task. Stable for the lifetime of the task.
@@ -41,17 +38,13 @@ pub struct TaskId {
 /// Error returned by [`Sim::run`] when no task can make progress but live
 /// tasks remain — i.e. every remaining task waits on an event that will
 /// never fire. The names of the stuck tasks are reported to make protocol
-/// deadlocks debuggable; with a sharded executor the shard of each stuck
-/// task is reported too, so a stall that looks like a cross-shard window
-/// that never closed can be localized to its group.
+/// deadlocks debuggable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Deadlock {
     /// Simulated time at which the simulation stalled.
     pub at: SimTime,
     /// Names of the tasks that were still alive.
     pub stuck: Vec<String>,
-    /// Shard index of each stuck task, parallel to `stuck`.
-    pub stuck_shards: Vec<u32>,
 }
 
 impl fmt::Display for Deadlock {
@@ -62,32 +55,33 @@ impl fmt::Display for Deadlock {
             self.at,
             self.stuck.len()
         )?;
-        let multi_shard = self.stuck_shards.iter().any(|&s| s != 0);
         for (i, name) in self.stuck.iter().take(8).enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
             write!(f, "{name}")?;
-            if multi_shard {
-                if let Some(s) = self.stuck_shards.get(i) {
-                    write!(f, "[shard {s}]")?;
-                }
-            }
         }
         if self.stuck.len() > 8 {
             write!(f, ", …")?;
-        }
-        if multi_shard {
-            let mut shards: Vec<u32> = self.stuck_shards.clone();
-            shards.sort_unstable();
-            shards.dedup();
-            write!(f, " (blocked across {} shard(s))", shards.len())?;
         }
         Ok(())
     }
 }
 
 impl std::error::Error for Deadlock {}
+
+/// Snapshot of executor counters, for benchmarks and diagnostics.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SimStats {
+    /// Task polls performed.
+    pub polls: u64,
+    /// Events fired off the timer heap (wakes and calls).
+    pub events_fired: u64,
+    /// Scheduled closures run (arena-allocated in-flight work).
+    pub calls_run: u64,
+    /// Clock advances: instants at which the heap fired at least one event.
+    pub merges: u64,
+}
 
 /// Outcome of [`Sim::run_until`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,7 +98,7 @@ pub enum RunOutcome {
 /// scheme performed its first poll (and timer registration), and `CallRun`
 /// runs the closure at the position where that task would have been polled
 /// after its timer fired. This is what keeps same-instant ordering
-/// bit-identical with the pre-shard executor.
+/// bit-identical with the task-per-message executor it replaced.
 #[derive(Clone, Copy, Debug)]
 enum ReadyItem {
     Task(TaskId),
@@ -166,12 +160,10 @@ struct Task {
     name: Rc<str>,
     waker: Arc<TaskWaker>,
     generation: u64,
-    /// Shard this task's timers are attributed to.
-    shard: u32,
 }
 
-/// What to do for an event popped off a shard heap. Built in global
-/// sequence order under the core borrow, executed after it is released.
+/// What to do for an event popped off the heap. Built in global sequence
+/// order under the core borrow, executed after it is released.
 enum FireOp {
     Wake(Waker),
     Run(u32),
@@ -181,8 +173,8 @@ struct Core {
     now: SimTime,
     /// Single global schedule counter — the tiebreak of the total order.
     event_seq: u64,
-    shards: Vec<Shard>,
-    /// Event arena; heaps and the ready FIFO refer to slots by index.
+    queue: EventQueue,
+    /// Event arena; the heap and the ready FIFO refer to slots by index.
     events: Vec<EventSlot>,
     free_events: Vec<u32>,
     tasks: Vec<Option<Task>>,
@@ -192,18 +184,12 @@ struct Core {
     /// way the in-flight tasks they replace did).
     pending_calls: usize,
     next_generation: u64,
-    /// Shard of the task/call currently being polled; spawns and timer
-    /// registrations inherit it.
-    current_shard: u32,
     polls: u64,
     events_fired: u64,
     calls_run: u64,
     merges: u64,
-    window_batches: u64,
-    window_events: u64,
     /// Reusable scratch for the fire loop.
     fire_scratch: Vec<FireOp>,
-    batch_scratch: Vec<HeapEntry>,
 }
 
 impl Core {
@@ -254,21 +240,13 @@ impl Default for Sim {
 }
 
 impl Sim {
-    /// Create an empty single-shard simulation with the clock at zero.
+    /// Create an empty simulation with the clock at zero.
     pub fn new() -> Self {
-        Self::with_shards(1)
-    }
-
-    /// Create an empty simulation with `shards` event shards. The shard
-    /// count never affects the event order — only how pending events are
-    /// partitioned — so any count is digest-equivalent to one shard.
-    pub fn with_shards(shards: usize) -> Self {
-        let shards = shards.max(1);
         Sim {
             core: Rc::new(RefCell::new(Core {
                 now: SimTime::ZERO,
                 event_seq: 0,
-                shards: (0..shards).map(|_| Shard::new()).collect(),
+                queue: EventQueue::new(),
                 events: Vec::new(),
                 free_events: Vec::new(),
                 tasks: Vec::new(),
@@ -276,15 +254,11 @@ impl Sim {
                 live_tasks: 0,
                 pending_calls: 0,
                 next_generation: 0,
-                current_shard: 0,
                 polls: 0,
                 events_fired: 0,
                 calls_run: 0,
                 merges: 0,
-                window_batches: 0,
-                window_events: 0,
                 fire_scratch: Vec::new(),
-                batch_scratch: Vec::new(),
             })),
             ready: Arc::new(ReadyQueue {
                 queue: Mutex::new(VecDeque::new()),
@@ -297,11 +271,6 @@ impl Sim {
         self.core.borrow().now
     }
 
-    /// Number of event shards.
-    pub fn shard_count(&self) -> usize {
-        self.core.borrow().shards.len()
-    }
-
     /// Number of tasks that have not yet completed.
     pub fn live_tasks(&self) -> usize {
         self.core.borrow().live_tasks
@@ -312,53 +281,28 @@ impl Sim {
         self.core.borrow().polls
     }
 
-    /// Number of events currently waiting in the shard heaps.
+    /// Number of events currently waiting in the timer heap.
     pub fn pending_events(&self) -> usize {
-        self.core.borrow().shards.iter().map(|s| s.len()).sum()
+        self.core.borrow().queue.len()
     }
 
-    /// Snapshot of kernel counters (polls, fired events, merge behavior).
+    /// Snapshot of kernel counters (polls, fired events, clock advances).
     pub fn stats(&self) -> SimStats {
         let core = self.core.borrow();
         SimStats {
-            shard_count: core.shards.len(),
             polls: core.polls,
             events_fired: core.events_fired,
             calls_run: core.calls_run,
             merges: core.merges,
-            window_batches: core.window_batches,
-            window_events: core.window_events,
         }
     }
 
-    /// Spawn a named task on the shard of the current task (shard 0 when
-    /// spawned from outside the executor). The name appears in deadlock
-    /// reports.
+    /// Spawn a named task. The name appears in deadlock reports.
     pub fn spawn_named<F>(&self, name: impl Into<String>, fut: F) -> TaskId
     where
         F: Future<Output = ()> + 'static,
     {
-        let shard = self.core.borrow().current_shard;
-        self.spawn_on_shard(shard, name, fut)
-    }
-
-    /// Spawn a named task attributed to `shard` (taken modulo the shard
-    /// count). Attribution decides which heap the task's timers wait in;
-    /// it never affects ordering.
-    pub fn spawn_named_on<F>(&self, shard: usize, name: impl Into<String>, fut: F) -> TaskId
-    where
-        F: Future<Output = ()> + 'static,
-    {
-        let count = self.core.borrow().shards.len();
-        self.spawn_on_shard((shard % count) as u32, name, fut)
-    }
-
-    fn spawn_on_shard<F>(&self, shard: u32, name: impl Into<String>, fut: F) -> TaskId
-    where
-        F: Future<Output = ()> + 'static,
-    {
         let mut core = self.core.borrow_mut();
-        let shard = shard % core.shards.len() as u32;
         let generation = core.next_generation;
         core.next_generation += 1;
         let slot = core.free_slots.pop().unwrap_or_else(|| {
@@ -376,7 +320,6 @@ impl Sim {
             name: Rc::from(name.into()),
             waker: Arc::clone(&waker),
             generation,
-            shard,
         });
         core.live_tasks += 1;
         drop(core);
@@ -408,34 +351,21 @@ impl Sim {
         );
         let seq = core.event_seq;
         core.event_seq += 1;
-        let shard = core.current_shard;
         let slot = core.alloc_event(EventSlot {
             at,
-            shard,
             kind: Some(EventKind::Wake(waker)),
         });
-        core.shards[shard as usize].push(HeapEntry { at, seq, slot });
+        core.queue.push(HeapEntry { at, seq, slot });
     }
 
-    /// Schedule `f` to run on the executor at absolute time `at`,
-    /// attributed to the current shard. This is the arena-allocated
-    /// replacement for spawning a task that sleeps and then acts: no
-    /// future, no task slot, no waker — one event slot and one closure.
+    /// Schedule `f` to run on the executor at absolute time `at`. This is
+    /// the arena-allocated replacement for spawning a task that sleeps and
+    /// then acts: no future, no task slot, no waker — one event slot and
+    /// one closure.
     ///
     /// # Panics
     /// Panics if `at` is in the simulated past.
     pub fn schedule_call(&self, at: SimTime, f: impl FnOnce() + 'static) {
-        let shard = self.core.borrow().current_shard;
-        self.schedule_call_on(shard as usize, at, f);
-    }
-
-    /// Schedule `f` to run at `at`, attributed to `shard` (taken modulo
-    /// the shard count). Cross-shard message deliveries use this with the
-    /// destination's shard.
-    ///
-    /// # Panics
-    /// Panics if `at` is in the simulated past.
-    pub fn schedule_call_on(&self, shard: usize, at: SimTime, f: impl FnOnce() + 'static) {
         let mut core = self.core.borrow_mut();
         assert!(
             at >= core.now,
@@ -443,10 +373,8 @@ impl Sim {
             at,
             core.now
         );
-        let shard = (shard % core.shards.len()) as u32;
         let slot = core.alloc_event(EventSlot {
             at,
-            shard,
             kind: Some(EventKind::Call(Box::new(f))),
         });
         core.pending_calls += 1;
@@ -512,59 +440,17 @@ impl Sim {
             if core.live_tasks == 0 && core.pending_calls == 0 {
                 return Ok(RunOutcome::AllDone);
             }
-            // No runnable work: merge the shard heads. The winner is the
-            // global minimum `(at, seq)`; `other_at` tracks the earliest
-            // deadline in any *other* shard, which decides whether the
-            // winning instant can be drained from one shard alone.
-            let mut best: Option<(SimTime, u64, usize)> = None;
-            let mut other_at: Option<SimTime> = None;
-            for i in 0..core.shards.len() {
-                if let Some((at, seq)) = core.shards[i].head() {
-                    match best {
-                        None => best = Some((at, seq, i)),
-                        Some((bat, bseq, _)) => {
-                            if (at, seq) < (bat, bseq) {
-                                other_at = Some(other_at.map_or(bat, |o| o.min(bat)));
-                                best = Some((at, seq, i));
-                            } else {
-                                other_at = Some(other_at.map_or(at, |o| o.min(at)));
-                            }
-                        }
-                    }
-                }
-            }
-            match best {
-                Some((at, _, shard)) if at <= horizon => {
+            // No runnable work: advance the clock to the earliest deadline
+            // and fire every event at that instant, in sequence order.
+            match core.queue.next_at() {
+                Some(at) if at <= horizon => {
                     core.now = at;
                     core.merges += 1;
                     let mut ops = std::mem::take(&mut core.fire_scratch);
                     ops.clear();
-                    if other_at != Some(at) {
-                        // Conservative-window fast path: every event at
-                        // this instant lives in one shard, whose heap
-                        // already yields them in sequence order.
-                        while let Some(entry) = core.shards[shard].pop_at(at) {
-                            let op = core.op_for(entry);
-                            ops.push(op);
-                        }
-                    } else {
-                        // Slow path: the instant spans shards; collect and
-                        // restore the global sequence order explicitly.
-                        core.window_batches += 1;
-                        let mut batch = std::mem::take(&mut core.batch_scratch);
-                        batch.clear();
-                        for i in 0..core.shards.len() {
-                            while let Some(entry) = core.shards[i].pop_at(at) {
-                                batch.push(entry);
-                            }
-                        }
-                        batch.sort_unstable_by_key(|e| e.seq);
-                        core.window_events += batch.len() as u64;
-                        for entry in batch.drain(..) {
-                            let op = core.op_for(entry);
-                            ops.push(op);
-                        }
-                        core.batch_scratch = batch;
+                    while let Some(entry) = core.queue.pop_at(at) {
+                        let op = core.op_for(entry);
+                        ops.push(op);
                     }
                     core.events_fired += ops.len() as u64;
                     drop(core);
@@ -581,18 +467,16 @@ impl Sim {
                     // Live work but no pending event can ever fire. Calls
                     // always hold a heap entry once initialized (and the
                     // FIFO is drained), so this is a pure task deadlock.
-                    let mut stuck = Vec::new();
-                    let mut stuck_shards = Vec::new();
-                    for t in core.tasks.iter().flatten() {
-                        if t.future.is_some() {
-                            stuck.push(t.name.to_string());
-                            stuck_shards.push(t.shard);
-                        }
-                    }
+                    let stuck = core
+                        .tasks
+                        .iter()
+                        .flatten()
+                        .filter(|t| t.future.is_some())
+                        .map(|t| t.name.to_string())
+                        .collect();
                     return Err(Deadlock {
                         at: core.now,
                         stuck,
-                        stuck_shards,
                     });
                 }
             }
@@ -600,16 +484,16 @@ impl Sim {
     }
 
     /// Second half of `schedule_call`: assign the global sequence number
-    /// and move the event into its shard heap.
+    /// and move the event into the heap.
     fn init_call(&self, slot: u32) {
         let mut core = self.core.borrow_mut();
-        let (at, shard) = match core.events.get(slot as usize) {
-            Some(ev) => (ev.at, ev.shard),
+        let at = match core.events.get(slot as usize) {
+            Some(ev) => ev.at,
             None => return,
         };
         let seq = core.event_seq;
         core.event_seq += 1;
-        core.shards[shard as usize].push(HeapEntry { at, seq, slot });
+        core.queue.push(HeapEntry { at, seq, slot });
     }
 
     /// Final half of a scheduled call: take the closure, free the slot,
@@ -623,11 +507,9 @@ impl Sim {
                 .and_then(|e| e.kind.take());
             match taken {
                 Some(EventKind::Call(f)) => {
-                    let shard = core.events[slot as usize].shard;
                     core.free_events.push(slot);
                     core.pending_calls -= 1;
                     core.calls_run += 1;
-                    core.current_shard = shard;
                     f
                 }
                 Some(EventKind::Wake(w)) => {
@@ -653,11 +535,9 @@ impl Sim {
                 _ => return, // task already finished; stale wake
             };
             slot.waker.queued.store(false, Ordering::Release);
-            let shard = slot.shard;
             match slot.future.take() {
                 Some(f) => {
                     let pair = (f, Arc::clone(&slot.waker));
-                    core.current_shard = shard;
                     core.polls += 1;
                     pair
                 }
@@ -790,57 +670,6 @@ mod tests {
     }
 
     #[test]
-    fn simultaneous_timers_fire_in_schedule_order_across_shards() {
-        // Same program as above, but each task parks its timer in a
-        // different shard: the same-instant merge must restore the global
-        // schedule order, not the per-shard one.
-        let sim = Sim::with_shards(4);
-        let order = Rc::new(RefCell::new(Vec::new()));
-        for label in 0..10usize {
-            let s = sim.clone();
-            let ord = Rc::clone(&order);
-            sim.spawn_named_on(label % 4, format!("t{label}"), async move {
-                s.sleep(SimDuration::from_millis(5)).await;
-                ord.borrow_mut().push(label);
-            });
-        }
-        sim.run().unwrap();
-        assert_eq!(*order.borrow(), (0..10).collect::<Vec<_>>());
-        let stats = sim.stats();
-        assert_eq!(stats.shard_count, 4);
-        assert!(
-            stats.window_batches >= 1,
-            "same-instant merge should engage"
-        );
-    }
-
-    #[test]
-    fn shard_count_does_not_change_event_order() {
-        // A mix of staggered and simultaneous timers spread over shards
-        // must produce the identical firing order at every shard count.
-        let run = |shards: usize| {
-            let sim = Sim::with_shards(shards);
-            let order = Rc::new(RefCell::new(Vec::new()));
-            for label in 0..12usize {
-                let s = sim.clone();
-                let ord = Rc::clone(&order);
-                sim.spawn_named_on(label % 5, format!("t{label}"), async move {
-                    s.sleep(SimDuration::from_millis((label as u64 % 3) * 7))
-                        .await;
-                    ord.borrow_mut().push(label);
-                    s.sleep(SimDuration::from_millis(11)).await;
-                    ord.borrow_mut().push(100 + label);
-                });
-            }
-            sim.run().unwrap();
-            Rc::try_unwrap(order).unwrap().into_inner()
-        };
-        let base = run(1);
-        assert_eq!(run(4), base);
-        assert_eq!(run(16), base);
-    }
-
-    #[test]
     fn scheduled_calls_run_at_their_deadline() {
         let sim = Sim::new();
         let hits = Rc::new(RefCell::new(Vec::new()));
@@ -864,30 +693,28 @@ mod tests {
     #[test]
     fn calls_and_sleeps_at_same_instant_keep_schedule_order() {
         // Interleave sleeps and scheduled calls with the same deadline:
-        // they must fire in the order they were scheduled, across shards.
-        let run = |shards: usize| {
-            let sim = Sim::with_shards(shards);
-            let order = Rc::new(RefCell::new(Vec::new()));
-            for label in 0..8usize {
-                let s = sim.clone();
-                let ord = Rc::clone(&order);
-                sim.spawn_named_on(label % 3, format!("t{label}"), async move {
-                    let at = s.now() + SimDuration::from_millis(5);
-                    if label % 2 == 0 {
-                        let ord2 = Rc::clone(&ord);
-                        s.schedule_call_on(label, at, move || ord2.borrow_mut().push(label));
-                    } else {
-                        s.sleep_until(at).await;
-                        ord.borrow_mut().push(label);
-                    }
-                });
-            }
-            sim.run().unwrap();
-            Rc::try_unwrap(order).unwrap().into_inner()
-        };
-        let base = run(1);
-        assert_eq!(run(4), base);
-        assert_eq!(run(16), base);
+        // they fire in sequence order. A sleep takes its sequence number
+        // when it registers; a call takes it when its CallInit drains from
+        // the ready FIFO — after every task queued ahead of it has been
+        // polled, as the task-per-message scheme registered its timer.
+        let sim = Sim::new();
+        let order = Rc::new(RefCell::new(Vec::new()));
+        for label in 0..8usize {
+            let s = sim.clone();
+            let ord = Rc::clone(&order);
+            sim.spawn_named(format!("t{label}"), async move {
+                let at = s.now() + SimDuration::from_millis(5);
+                if label % 2 == 0 {
+                    let ord2 = Rc::clone(&ord);
+                    s.schedule_call(at, move || ord2.borrow_mut().push(label));
+                } else {
+                    s.sleep_until(at).await;
+                    ord.borrow_mut().push(label);
+                }
+            });
+        }
+        sim.run().unwrap();
+        assert_eq!(*order.borrow(), vec![1, 3, 5, 7, 0, 2, 4, 6]);
     }
 
     #[test]
@@ -930,25 +757,6 @@ mod tests {
         sim.spawn_named("waits-forever", std::future::pending::<()>());
         let err = sim.run().unwrap_err();
         assert_eq!(err.stuck, vec!["waits-forever".to_string()]);
-    }
-
-    #[test]
-    fn multi_shard_deadlock_reports_blocked_shards() {
-        // A quiescent multi-shard run must terminate with a deadlock
-        // report naming the blocked tasks and their shards — not hang
-        // waiting for a cross-shard window that never closes.
-        let sim = Sim::with_shards(4);
-        sim.spawn_named_on(1, "stuck-a", std::future::pending::<()>());
-        sim.spawn_named_on(3, "stuck-b", std::future::pending::<()>());
-        let err = sim.run().unwrap_err();
-        assert_eq!(
-            err.stuck,
-            vec!["stuck-a".to_string(), "stuck-b".to_string()]
-        );
-        assert_eq!(err.stuck_shards, vec![1, 3]);
-        let msg = err.to_string();
-        assert!(msg.contains("stuck-a[shard 1]"), "got: {msg}");
-        assert!(msg.contains("2 shard(s)"), "got: {msg}");
     }
 
     #[test]

@@ -28,14 +28,13 @@
 pub mod channel;
 pub mod executor;
 pub mod future;
+mod queue;
 pub mod resource;
 pub mod rng;
-pub mod shard;
 pub mod stats;
 pub mod sync;
 pub mod time;
 
-pub use executor::{Deadlock, RunOutcome, Sim, TaskId};
+pub use executor::{Deadlock, RunOutcome, Sim, SimStats, TaskId};
 pub use rng::DetRng;
-pub use shard::SimStats;
 pub use time::{SimDuration, SimTime};

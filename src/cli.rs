@@ -9,10 +9,8 @@
 //! gcrsim phases --trace app.trace.json --window-ms 500 --max-size 8
 //! gcrsim chaos  --seed 17 --runs 50
 //! gcrsim chaos  --seed 3 --workload cg --proto gp4 --schedule 'crash:g1@2500'
-//! gcrsim bench  --ranks 1000,10000 --shards 1,4,16 --out BENCH_kernel.json
 //! ```
 
-use gcr_bench::kernel::{report_json, run_kernel, KernelSpec};
 use gcr_bench::{profile_trace, run_one, Proto, RunSpec, Schedule, WorkloadSpec};
 use gcr_chaos::{
     parse_schedule, run_chaos, run_chaos_verified, shrink, ChaosBackend, ChaosEvent, ChaosProto,
@@ -60,27 +58,8 @@ pub enum Command {
     },
     /// Run seeded fault-injection scenarios with invariant oracles.
     Chaos(ChaosArgs),
-    /// Run the sharded-kernel throughput grid (`BENCH_kernel.json`).
-    Bench(BenchArgs),
     /// Run the workspace determinism & protocol-safety analyzer.
     Lint(LintArgs),
-}
-
-/// Arguments of the `bench` subcommand.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BenchArgs {
-    /// World sizes to run (`--ranks 1000,10000`).
-    pub ranks: Vec<usize>,
-    /// Executor shard counts (`--shards 1,4,16`).
-    pub shards: Vec<usize>,
-    /// Messages per rank; defaults per world size when absent.
-    pub iters: Option<u32>,
-    /// Payload seed.
-    pub seed: u64,
-    /// Write `BENCH_kernel.json` here (no file written when absent).
-    pub out: Option<String>,
-    /// Print the JSON report instead of the human table.
-    pub json: bool,
 }
 
 /// Arguments of the `lint` subcommand.
@@ -121,9 +100,6 @@ pub struct ChaosArgs {
     pub gc_overshoot: Option<u64>,
     /// Schedule override (compact string form).
     pub schedule: Option<Vec<ChaosEvent>>,
-    /// Executor shard-count override (layout only; digests are
-    /// invariant, so this is a perf/coverage knob, not a scenario knob).
-    pub shards: Option<usize>,
     /// Checkpoint-image backend (`disk` default; `restore` replicates
     /// images into peer memory and widens the event vocabulary).
     pub backend: Option<ChaosBackend>,
@@ -210,19 +186,16 @@ USAGE:
                 [--workload <ring|cg|sp|hpl>] [--proto <norm|gp|gp1|gp4|vcl|cvc|rblog>]
                 [--storage <local|remote>] [--interval-ms I]
                 [--gc-overshoot BYTES] [--schedule 'crash:g1@2500;storm:x8@1000+4000']
-                [--shards N] [--backend <disk|restore>] [--replication K]
+                [--backend <disk|restore>] [--replication K]
                 (events: crash:g<G>@<ms> storm:x<F>@<ms>+<dur> outage:s<S>@<ms>+<dur>
                  slow:n<N>x<F>@<ms>+<dur> torn:n<N>x<C>@<ms> corrupt:g<G>@<ms>
                  crashckpt:g<G>p<0|1|2>@<ms> replica:g<G>[p<0|1>]@<ms>;
                  replica events drop a group's held peer copies — restore only)
-  gcrsim bench  [--ranks N,N,..] [--shards N,N,..] [--iters K] [--seed X]
-                [--out FILE] [--json]   (sharded-kernel throughput grid;
-                 --out writes the BENCH_kernel.json trajectory file)
   gcrsim lint   [--root DIR] [--baseline FILE] [--json] [--sarif]
                 [--update-baseline]   (--update-baseline also prunes
                  entries that no longer match any finding)
                 [--explain RULE]   (rules: D01 D02 D03 D03-T D04 D10 E01 E02
-                 E03 P01 P02 P10 P20 P21 S01 W10 W00 W01 — prints the entry
+                 E03 P01 P02 P10 P20 P21 W10 W00 W01 — prints the entry
                  and exits)
 ";
 
@@ -262,17 +235,6 @@ impl<'a> Flags<'a> {
                 .map_err(|_| err(format!("{name} expects a number"))),
         }
     }
-}
-
-/// Parse a comma-separated list of positive integers (`1000,10000`).
-fn parse_list(v: &str, flag: &str) -> Result<Vec<usize>, CliError> {
-    v.split(',')
-        .map(|part| {
-            part.trim()
-                .parse()
-                .map_err(|_| err(format!("{flag}: '{part}' is not a number")))
-        })
-        .collect()
 }
 
 fn parse_workload(f: &Flags) -> Result<WorkloadArg, CliError> {
@@ -422,16 +384,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 .map(parse_schedule)
                 .transpose()
                 .map_err(err)?;
-            let shards = match f.get("--shards") {
-                None => None,
-                Some(v) => {
-                    let s: usize = v.parse().map_err(|_| err("--shards expects a count"))?;
-                    if s == 0 {
-                        return Err(err("--shards must be at least 1"));
-                    }
-                    Some(s)
-                }
-            };
             let backend = f
                 .get("--backend")
                 .map(ChaosBackend::parse)
@@ -458,39 +410,10 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 interval_ms,
                 gc_overshoot,
                 schedule,
-                shards,
                 backend,
                 replication,
                 verify: f.has("--verify"),
                 no_shrink: f.has("--no-shrink"),
-                json: f.has("--json"),
-            }))
-        }
-        "bench" => {
-            let ranks = match f.get("--ranks") {
-                None => vec![1_000, 10_000],
-                Some(v) => parse_list(v, "--ranks")?,
-            };
-            let shards = match f.get("--shards") {
-                None => vec![1, 4, 16],
-                Some(v) => parse_list(v, "--shards")?,
-            };
-            if ranks.iter().any(|&r| r < 2) {
-                return Err(err("--ranks entries must be at least 2"));
-            }
-            if shards.contains(&0) {
-                return Err(err("--shards entries must be at least 1"));
-            }
-            let iters = match f.get("--iters") {
-                None => None,
-                Some(v) => Some(v.parse().map_err(|_| err("--iters expects a count"))?),
-            };
-            Ok(Command::Bench(BenchArgs {
-                ranks,
-                shards,
-                iters,
-                seed: f.parse_num_or("--seed", 49_297)?,
-                out: f.get("--out").map(str::to_string),
                 json: f.has("--json"),
             }))
         }
@@ -599,44 +522,7 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
             Ok(s)
         }
         Command::Chaos(a) => execute_chaos(a),
-        Command::Bench(a) => execute_bench(a),
         Command::Lint(a) => execute_lint(a),
-    }
-}
-
-/// Run the `(ranks × shards)` kernel throughput grid, optionally writing
-/// the `BENCH_kernel.json` trajectory file.
-fn execute_bench(a: BenchArgs) -> Result<String, CliError> {
-    let mut points = Vec::new();
-    let mut lines = vec![format!(
-        "{:>8} {:>7} {:>7} {:>12} {:>9} {:>14}  digest",
-        "ranks", "shards", "iters", "events", "wall_s", "events/sec"
-    )];
-    for &ranks in &a.ranks {
-        let iters = a.iters.unwrap_or_else(|| KernelSpec::default_iters(ranks));
-        for &shards in &a.shards {
-            let p = run_kernel(&KernelSpec {
-                ranks,
-                shards,
-                iters,
-                seed: a.seed,
-            });
-            lines.push(format!(
-                "{:>8} {:>7} {:>7} {:>12} {:>9.3} {:>14.0}  {:#018x}",
-                ranks, shards, iters, p.events, p.wall_s, p.events_per_sec, p.digest
-            ));
-            points.push(p);
-        }
-    }
-    let doc = report_json(a.seed, &points);
-    if let Some(out) = &a.out {
-        std::fs::write(out, doc.pretty() + "\n").map_err(|e| err(e.to_string()))?;
-        lines.push(format!("wrote {} point(s) to {out}", points.len()));
-    }
-    if a.json {
-        Ok(doc.pretty())
-    } else {
-        Ok(lines.join("\n"))
     }
 }
 
@@ -676,11 +562,7 @@ fn execute_lint(a: LintArgs) -> Result<String, CliError> {
         return Ok(msg);
     }
     let baseline = gcr_lint::load_baseline(&baseline_path).map_err(|e| err(e.to_string()))?;
-    // Normal runs go through the incremental cache; the report is
-    // bit-identical to the uncached path, only wall-clock differs.
-    let cache_dir = root.join("target").join("lint-cache");
-    let (report, _stats) = gcr_lint::cache::lint_workspace_cached(&root, &baseline, &cache_dir)
-        .map_err(|e| err(e.to_string()))?;
+    let report = gcr_lint::lint_workspace(&root, &baseline).map_err(|e| err(e.to_string()))?;
     let rendered = if a.sarif {
         report.to_sarif().pretty()
     } else if a.json {
@@ -715,9 +597,6 @@ fn chaos_spec_for(a: &ChaosArgs, seed: u64) -> ChaosSpec {
     }
     if let Some(sched) = &a.schedule {
         spec.schedule = sched.clone();
-    }
-    if let Some(s) = a.shards {
-        spec.shards = s;
     }
     if let Some(k) = a.replication {
         spec.replication = k;
@@ -918,7 +797,7 @@ mod tests {
     fn parses_a_chaos_command_with_overrides() {
         let cmd = parse(&argv(
             "chaos --seed 3 --workload cg --proto gp4 --storage local --interval-ms 800 \
-             --gc-overshoot 65536 --schedule crash:g1@2500 --shards 4 --verify --json",
+             --gc-overshoot 65536 --schedule crash:g1@2500 --verify --json",
         ))
         .unwrap();
         match cmd {
@@ -937,14 +816,12 @@ mod tests {
                         group: 1
                     }])
                 );
-                assert_eq!(a.shards, Some(4));
                 assert!(a.verify && a.json && !a.no_shrink);
             }
             other => panic!("unexpected {other:?}"),
         }
         assert!(parse(&argv("chaos --seed 1 --schedule crash:1@2500")).is_err());
         assert!(parse(&argv("chaos --seed 1 --storage nfs")).is_err());
-        assert!(parse(&argv("chaos --seed 1 --shards 0")).is_err());
         assert!(parse(&argv("chaos")).is_err());
     }
 
@@ -971,55 +848,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_a_bench_command() {
-        let cmd = parse(&argv(
-            "bench --ranks 100,200 --shards 1,4 --iters 2 --seed 7",
-        ))
-        .unwrap();
-        match cmd {
-            Command::Bench(a) => {
-                assert_eq!(a.ranks, vec![100, 200]);
-                assert_eq!(a.shards, vec![1, 4]);
-                assert_eq!(a.iters, Some(2));
-                assert_eq!(a.seed, 7);
-                assert!(a.out.is_none() && !a.json);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        // Defaults: the full shard matrix over the two smaller world sizes.
-        match parse(&argv("bench")).unwrap() {
-            Command::Bench(a) => {
-                assert_eq!(a.ranks, vec![1_000, 10_000]);
-                assert_eq!(a.shards, vec![1, 4, 16]);
-                assert_eq!(a.iters, None);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(parse(&argv("bench --ranks 1")).is_err());
-        assert!(parse(&argv("bench --shards 0")).is_err());
-        assert!(parse(&argv("bench --ranks ten")).is_err());
-    }
-
-    #[test]
-    fn bench_command_runs_a_tiny_grid_and_writes_the_report() {
-        let dir = std::env::temp_dir().join("gcr-cli-bench-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.join("BENCH_kernel.json").to_string_lossy().into_owned();
-        let rendered = execute(
-            parse(&argv(&format!(
-                "bench --ranks 16,32 --shards 1,4 --iters 2 --out {out}"
-            )))
-            .unwrap(),
-        )
-        .unwrap();
-        assert!(rendered.contains("events/sec"), "{rendered}");
-        assert!(rendered.contains("wrote 4 point(s)"), "{rendered}");
-        let doc = gcr_json::Json::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
-        gcr_bench::kernel::validate_report(&doc).unwrap();
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn parses_a_lint_command() {
         let cmd = parse(&argv("lint --root . --json")).unwrap();
         match cmd {
@@ -1039,7 +867,7 @@ mod tests {
         let out = execute(parse(&argv("lint --explain E01")).unwrap()).unwrap();
         assert!(out.starts_with("E01:"), "{out}");
         assert!(out.contains("fix"), "{out}");
-        for id in ["P10", "P20", "P21", "D10", "S01", "W10"] {
+        for id in ["P10", "P20", "P21", "D10", "W10"] {
             let out = execute(parse(&argv(&format!("lint --explain {id}"))).unwrap()).unwrap();
             assert!(out.starts_with(&format!("{id}:")), "{out}");
         }

@@ -308,24 +308,24 @@ fn piggyback_gc_never_outruns_committed_generations() {
     }
 }
 
-/// Sharded-executor property: under a randomized shard assignment the
-/// cross-shard merge (a) never delivers an event before its timestamp
-/// and (b) never reorders two events with the same `(time, tiebreak)`
-/// key. The tiebreak is the global scheduling sequence, and the 1-shard
-/// executor *is* that reference total order — so (b) reduces to "the
-/// observed trace is bit-identical to the 1-shard trace of the same
-/// program", which also covers events at distinct times.
+/// Executor property: over random programs of sleeps and scheduled calls
+/// the timer heap (a) never fires an event before its deadline, (b) never
+/// moves simulated time backward and (c) fires events that share an
+/// instant in the order they were scheduled — the global sequence number
+/// is the tiebreak. Each scheduling point takes a ticket from one
+/// counter, and the fired entries of the log must come out sorted by
+/// `(time, ticket)`.
 #[test]
-fn cross_shard_merge_preserves_time_and_tiebreak_order() {
+fn timer_heap_preserves_time_and_tiebreak_order() {
     use gcr::sim::SimDuration;
-    use std::cell::RefCell;
+    use std::cell::{Cell, RefCell};
 
     for case in 0..32u64 {
         let mut rng = DetRng::new(0xA160_0007).fork_idx(case);
         let ntasks = rng.range_u64(2, 12) as usize;
         // Each task: a random program of sleep durations in µs. Zero is
-        // included on purpose: same-instant wakes across shards are the
-        // interesting tiebreak case.
+        // included on purpose: a zero sleep completes without an event,
+        // and short sleeps make same-instant wakes common.
         let programs: Vec<Vec<u64>> = (0..ntasks)
             .map(|_| {
                 (0..rng.range_u64(1, 8))
@@ -333,67 +333,86 @@ fn cross_shard_merge_preserves_time_and_tiebreak_order() {
                     .collect()
             })
             .collect();
-        // Arbitrary shard ids — the executor folds them modulo the shard
-        // count, so one assignment exercises every tested count.
-        let assignment: Vec<usize> = (0..ntasks).map(|_| rng.index(64)).collect();
-        // Plus bare scheduled calls at random future instants on random
-        // shards (the mpi delivery path uses exactly this entry point).
-        let calls: Vec<(u64, usize)> = (0..rng.range_u64(1, 6))
-            .map(|_| (rng.range_u64(1, 120), rng.index(64)))
+        // Plus bare scheduled calls at random future instants (the mpi
+        // delivery path uses exactly this entry point).
+        let calls: Vec<u64> = (0..rng.range_u64(1, 6))
+            .map(|_| rng.range_u64(1, 120))
             .collect();
 
-        let mut baseline: Option<Vec<(u64, String)>> = None;
-        for shards in [1usize, 2 + rng.index(15)] {
-            let sim = Sim::with_shards(shards);
-            let log: Rc<RefCell<Vec<(u64, String)>>> = Rc::new(RefCell::new(Vec::new()));
-            for (t, prog) in programs.iter().enumerate() {
-                let s = sim.clone();
-                let log = Rc::clone(&log);
-                let prog = prog.clone();
-                sim.spawn_named_on(assignment[t], format!("t{t}"), async move {
-                    for (i, &d) in prog.iter().enumerate() {
-                        let target = s.now() + SimDuration::from_micros(d);
-                        s.sleep(SimDuration::from_micros(d)).await;
-                        assert!(
-                            s.now() >= target,
-                            "case {case}: t{t}.{i} woke at {} before its {} deadline",
-                            s.now(),
-                            target
-                        );
-                        log.borrow_mut()
-                            .push((s.now().as_nanos(), format!("t{t}.{i}")));
-                    }
-                });
-            }
-            for (j, &(at_us, sh)) in calls.iter().enumerate() {
-                let s = sim.clone();
-                let log = Rc::clone(&log);
-                let at = SimTime::from_nanos(at_us * 1_000);
-                sim.schedule_call_on(sh, at, move || {
+        let sim = Sim::new();
+        let tickets = Rc::new(Cell::new(0u64));
+        // (fire time in ns, ticket of the event, label); no ticket for a
+        // zero sleep, which never enters the heap.
+        type Log = Vec<(u64, Option<u64>, String)>;
+        let log: Rc<RefCell<Log>> = Rc::new(RefCell::new(Vec::new()));
+        // Calls are scheduled before any task is spawned, so their
+        // sequence numbers are assigned first, in ticket order.
+        for (j, &at_us) in calls.iter().enumerate() {
+            let s = sim.clone();
+            let log = Rc::clone(&log);
+            let at = SimTime::from_nanos(at_us * 1_000);
+            let ticket = tickets.get();
+            tickets.set(ticket + 1);
+            sim.schedule_call(at, move || {
+                assert!(
+                    s.now() >= at,
+                    "case {case}: call c{j} ran at {} before its {} deadline",
+                    s.now(),
+                    at
+                );
+                log.borrow_mut()
+                    .push((s.now().as_nanos(), Some(ticket), format!("c{j}")));
+            });
+        }
+        for (t, prog) in programs.iter().enumerate() {
+            let s = sim.clone();
+            let log = Rc::clone(&log);
+            let tickets = Rc::clone(&tickets);
+            let prog = prog.clone();
+            sim.spawn_named(format!("t{t}"), async move {
+                for (i, &d) in prog.iter().enumerate() {
+                    let target = s.now() + SimDuration::from_micros(d);
+                    // A sleep registers its timer on its first poll, inside
+                    // this same task poll, so the ticket is its sequence.
+                    let ticket = (d > 0).then(|| {
+                        let k = tickets.get();
+                        tickets.set(k + 1);
+                        k
+                    });
+                    s.sleep(SimDuration::from_micros(d)).await;
                     assert!(
-                        s.now() >= at,
-                        "case {case}: call c{j} ran at {} before its {} deadline",
+                        s.now() >= target,
+                        "case {case}: t{t}.{i} woke at {} before its {} deadline",
                         s.now(),
-                        at
+                        target
                     );
-                    log.borrow_mut().push((s.now().as_nanos(), format!("c{j}")));
-                });
-            }
-            sim.run().expect("property program deadlocked");
+                    log.borrow_mut()
+                        .push((s.now().as_nanos(), ticket, format!("t{t}.{i}")));
+                }
+            });
+        }
+        sim.run().expect("property program deadlocked");
 
-            let trace = Rc::try_unwrap(log).expect("all tasks done").into_inner();
+        let trace = Rc::try_unwrap(log).expect("all tasks done").into_inner();
+        assert!(
+            trace.windows(2).all(|w| w[0].0 <= w[1].0),
+            "case {case}: simulated time went backward: {trace:?}"
+        );
+        let fired: Vec<(u64, u64, &str)> = trace
+            .iter()
+            .filter_map(|(at, ticket, label)| ticket.map(|k| (*at, k, label.as_str())))
+            .collect();
+        for w in fired.windows(2) {
             assert!(
-                trace.windows(2).all(|w| w[0].0 <= w[1].0),
-                "case {case} @ {shards} shard(s): simulated time went backward"
+                w[0].0 < w[1].0 || w[0].1 < w[1].1,
+                "case {case}: {} (ticket {}) and {} (ticket {}) share instant {} \
+                 but fired out of scheduling order",
+                w[0].2,
+                w[0].1,
+                w[1].2,
+                w[1].1,
+                w[1].0
             );
-            match &baseline {
-                None => baseline = Some(trace),
-                Some(reference) => assert_eq!(
-                    &trace, reference,
-                    "case {case}: {shards}-shard trace diverged from the \
-                     1-shard reference order"
-                ),
-            }
         }
     }
 }
@@ -594,7 +613,6 @@ fn cvc_piggybacked_epochs_keep_every_cut_consistent() {
             interval_ms: rng.range_u64(500, 900),
             gc_overshoot: 0,
             schedule: parse_schedule(&format!("crash:g0@{at_ms}")).expect("literal schedule"),
-            shards: 1,
             backend: ChaosBackend::Disk,
             replication: 2,
         };

@@ -36,7 +36,6 @@ fn restore_spec(
         interval_ms,
         gc_overshoot: 0,
         schedule: parse_schedule(schedule).expect("test schedule parses"),
-        shards: 1,
         backend: ChaosBackend::Restore,
         replication: k,
     }
