@@ -10,19 +10,28 @@
 //! `(deadline, sequence)`, where the sequence number comes from one global
 //! schedule counter.
 //!
+//! Wake path: the ready FIFO belongs to the thread that created the
+//! [`Sim`]. It takes no lock; every access checks the owner thread instead,
+//! and a simulation `Waker` woken on any other thread panics before it
+//! touches the FIFO. Each task's `Waker` is built once at spawn and lent to
+//! every poll. A [`Sleep`] polled with its own task's waker stores the
+//! task's [`TaskId`] in its timer rather than a waker clone; at fire time
+//! that id goes through the same wake dedupe and generation check as
+//! `Waker::wake`.
+//!
 //! Determinism: tasks are polled in FIFO wake order, events fire in
 //! `(deadline, sequence-number)` order, and all randomness is drawn from a
 //! seeded [`crate::rng::DetRng`]. Two runs with the same seed produce
 //! identical event schedules.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell, UnsafeCell};
 use std::collections::VecDeque;
 use std::fmt;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
 
 use crate::queue::{EventKind, EventQueue, EventSlot, HeapEntry};
@@ -81,6 +90,10 @@ pub struct SimStats {
     pub calls_run: u64,
     /// Clock advances: instants at which the heap fired at least one event.
     pub merges: u64,
+    /// High-water mark of the timer heap: most events pending at once.
+    pub max_pending_events: u64,
+    /// High-water mark of the ready FIFO: most work items queued at once.
+    pub max_ready_len: u64,
 }
 
 /// Outcome of [`Sim::run_until`].
@@ -106,20 +119,107 @@ enum ReadyItem {
     CallRun(u32),
 }
 
+/// A key unique to the calling thread for the life of the process (keys
+/// are never reused, unlike OS thread ids or thread-local addresses).
+fn thread_key() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    thread_local! {
+        static KEY: Cell<u64> = const { Cell::new(0) };
+    }
+    KEY.with(|key| {
+        if key.get() == 0 {
+            key.set(NEXT.fetch_add(1, Ordering::Relaxed));
+        }
+        key.get()
+    })
+}
+
+/// The ready FIFO's contents.
+struct ReadyState {
+    items: VecDeque<ReadyItem>,
+    max_len: usize,
+}
+
+/// FIFO of runnable work, owned by the thread that created the [`Sim`].
+///
+/// Every task `Waker` holds one, and `Waker` is `Send + Sync`, so this
+/// type must be `Sync` too. The simulation itself never leaves its thread
+/// (`Sim` is `!Send`), so instead of a lock each access checks that it
+/// runs on the owner thread and panics otherwise.
+struct ReadyQueue {
+    owner: u64,
+    state: UnsafeCell<ReadyState>,
+}
+
+// SAFETY: `owner` is immutable. `state` is reached only by `push`, `pop`
+// and `max_len`, each of which first asserts that it runs on the owner
+// thread, so no two threads ever access it. Dropping the queue on another
+// thread (the last `Waker` may die anywhere) is sound: `ReadyState` is
+// `Send`, and `Arc`'s final drop happens-after every earlier use.
+unsafe impl Sync for ReadyQueue {}
+
+impl ReadyQueue {
+    fn new() -> Self {
+        ReadyQueue {
+            owner: thread_key(),
+            state: UnsafeCell::new(ReadyState {
+                items: VecDeque::new(),
+                max_len: 0,
+            }),
+        }
+    }
+
+    /// # Panics
+    /// Panics unless called on the owner thread.
+    fn assert_owner(&self) {
+        assert!(
+            thread_key() == self.owner,
+            "gcr-sim: a simulation waker was woken on another thread; \
+             the executor is single-threaded and its wakers must stay on \
+             the thread that created the Sim"
+        );
+    }
+
+    fn push(&self, item: ReadyItem) {
+        self.assert_owner();
+        // SAFETY: only the owner thread touches `state` (asserted above),
+        // and no other reference to it is live: every access is a leaf
+        // like this one that calls out to no other code.
+        let ready = unsafe { &mut *self.state.get() };
+        ready.items.push_back(item);
+        ready.max_len = ready.max_len.max(ready.items.len());
+    }
+
+    fn pop(&self) -> Option<ReadyItem> {
+        self.assert_owner();
+        // SAFETY: as in `push`.
+        unsafe { &mut *self.state.get() }.items.pop_front()
+    }
+
+    fn max_len(&self) -> usize {
+        self.assert_owner();
+        // SAFETY: as in `push`.
+        unsafe { &*self.state.get() }.max_len
+    }
+}
+
+/// The state behind a task's `Waker`.
 struct TaskWaker {
-    slot: usize,
-    generation: u64,
+    id: TaskId,
+    /// Set while the task sits on the ready FIFO: the wake dedupe. Only
+    /// touched on the owner thread, so relaxed loads and stores suffice.
     queued: AtomicBool,
     ready: Arc<ReadyQueue>,
 }
 
 impl TaskWaker {
     fn enqueue(&self) {
-        if !self.queued.swap(true, Ordering::AcqRel) {
-            self.ready.push(ReadyItem::Task(TaskId {
-                slot: self.slot,
-                generation: self.generation,
-            }));
+        // Check before reading `queued`: the load-then-store below is
+        // only a correct dedupe on one thread.
+        self.ready.assert_owner();
+        if !self.queued.load(Ordering::Relaxed) {
+            self.queued.store(true, Ordering::Relaxed);
+            self.ready.push(ReadyItem::Task(self.id));
         }
     }
 }
@@ -134,30 +234,14 @@ impl Wake for TaskWaker {
     }
 }
 
-/// FIFO of runnable work. `Send + Sync` so it can live inside standard
-/// `Waker`s even though the simulation itself is single-threaded.
-struct ReadyQueue {
-    queue: Mutex<VecDeque<ReadyItem>>,
-}
-
-impl ReadyQueue {
-    fn push(&self, item: ReadyItem) {
-        self.queue
-            .lock()
-            .expect("ready queue poisoned")
-            .push_back(item);
-    }
-
-    fn pop(&self) -> Option<ReadyItem> {
-        self.queue.lock().expect("ready queue poisoned").pop_front()
-    }
-}
-
 type BoxFuture = Pin<Box<dyn Future<Output = ()>>>;
 
 struct Task {
-    future: Option<BoxFuture>,
+    /// The future and the task's one `Waker` (built at spawn). Both are
+    /// taken out while the task is being polled.
+    body: Option<(BoxFuture, Waker)>,
     name: Rc<str>,
+    /// The state behind the task's waker, for task-keyed timers.
     waker: Arc<TaskWaker>,
     generation: u64,
 }
@@ -166,6 +250,7 @@ struct Task {
 /// order under the core borrow, executed after it is released.
 enum FireOp {
     Wake(Waker),
+    WakeTask(TaskId),
     Run(u32),
 }
 
@@ -184,10 +269,14 @@ struct Core {
     /// way the in-flight tasks they replace did).
     pending_calls: usize,
     next_generation: u64,
+    /// The task being polled and its waker's data pointer.
+    current: Option<(TaskId, *const ())>,
     polls: u64,
     events_fired: u64,
     calls_run: u64,
     merges: u64,
+    /// High-water mark of `queue.len()`.
+    max_pending: usize,
     /// Reusable scratch for the fire loop.
     fire_scratch: Vec<FireOp>,
 }
@@ -206,22 +295,32 @@ impl Core {
         }
     }
 
+    /// Give `slot` the next global sequence number and push it on the heap.
+    fn push_event(&mut self, at: SimTime, slot: u32) {
+        let seq = self.event_seq;
+        self.event_seq += 1;
+        self.queue.push(HeapEntry { at, seq, slot });
+        self.max_pending = self.max_pending.max(self.queue.len());
+    }
+
     /// Convert a popped heap entry into its fire op. Wake slots are freed
     /// here; Call slots stay allocated until their `CallRun` drains.
-    fn op_for(&mut self, entry: HeapEntry) -> FireOp {
-        let is_wake = matches!(
-            self.events.get(entry.slot as usize).map(|e| &e.kind),
-            Some(Some(EventKind::Wake(_)))
-        );
-        if is_wake {
-            if let Some(ev) = self.events.get_mut(entry.slot as usize) {
-                if let Some(EventKind::Wake(w)) = ev.kind.take() {
-                    self.free_events.push(entry.slot);
-                    return FireOp::Wake(w);
-                }
+    fn op_for(&mut self, slot: u32) -> FireOp {
+        let ev = &mut self.events[slot as usize];
+        match ev.kind.take() {
+            Some(EventKind::Wake(w)) => {
+                self.free_events.push(slot);
+                FireOp::Wake(w)
+            }
+            Some(EventKind::WakeTask(id)) => {
+                self.free_events.push(slot);
+                FireOp::WakeTask(id)
+            }
+            call => {
+                ev.kind = call;
+                FireOp::Run(slot)
             }
         }
-        FireOp::Run(entry.slot)
     }
 }
 
@@ -229,7 +328,11 @@ impl Core {
 /// typically capture one.
 #[derive(Clone)]
 pub struct Sim {
-    core: Rc<RefCell<Core>>,
+    inner: Rc<Inner>,
+}
+
+struct Inner {
+    core: RefCell<Core>,
     ready: Arc<ReadyQueue>,
 }
 
@@ -240,60 +343,70 @@ impl Default for Sim {
 }
 
 impl Sim {
-    /// Create an empty simulation with the clock at zero.
+    /// Create an empty simulation with the clock at zero. The calling
+    /// thread owns it: the simulation's wakers may only be woken there.
     pub fn new() -> Self {
         Sim {
-            core: Rc::new(RefCell::new(Core {
-                now: SimTime::ZERO,
-                event_seq: 0,
-                queue: EventQueue::new(),
-                events: Vec::new(),
-                free_events: Vec::new(),
-                tasks: Vec::new(),
-                free_slots: Vec::new(),
-                live_tasks: 0,
-                pending_calls: 0,
-                next_generation: 0,
-                polls: 0,
-                events_fired: 0,
-                calls_run: 0,
-                merges: 0,
-                fire_scratch: Vec::new(),
-            })),
-            ready: Arc::new(ReadyQueue {
-                queue: Mutex::new(VecDeque::new()),
+            inner: Rc::new(Inner {
+                core: RefCell::new(Core {
+                    now: SimTime::ZERO,
+                    event_seq: 0,
+                    queue: EventQueue::new(),
+                    events: Vec::new(),
+                    free_events: Vec::new(),
+                    tasks: Vec::new(),
+                    free_slots: Vec::new(),
+                    live_tasks: 0,
+                    pending_calls: 0,
+                    next_generation: 0,
+                    current: None,
+                    polls: 0,
+                    events_fired: 0,
+                    calls_run: 0,
+                    merges: 0,
+                    max_pending: 0,
+                    fire_scratch: Vec::new(),
+                }),
+                ready: Arc::new(ReadyQueue::new()),
             }),
         }
     }
 
+    fn core(&self) -> &RefCell<Core> {
+        &self.inner.core
+    }
+
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.core.borrow().now
+        self.core().borrow().now
     }
 
     /// Number of tasks that have not yet completed.
     pub fn live_tasks(&self) -> usize {
-        self.core.borrow().live_tasks
+        self.core().borrow().live_tasks
     }
 
     /// Total number of task polls performed so far (diagnostic).
     pub fn poll_count(&self) -> u64 {
-        self.core.borrow().polls
+        self.core().borrow().polls
     }
 
     /// Number of events currently waiting in the timer heap.
     pub fn pending_events(&self) -> usize {
-        self.core.borrow().queue.len()
+        self.core().borrow().queue.len()
     }
 
-    /// Snapshot of kernel counters (polls, fired events, clock advances).
+    /// Snapshot of kernel counters (polls, fired events, clock advances,
+    /// high-water marks).
     pub fn stats(&self) -> SimStats {
-        let core = self.core.borrow();
+        let core = self.core().borrow();
         SimStats {
             polls: core.polls,
             events_fired: core.events_fired,
             calls_run: core.calls_run,
             merges: core.merges,
+            max_pending_events: core.max_pending as u64,
+            max_ready_len: self.inner.ready.max_len() as u64,
         }
     }
 
@@ -302,29 +415,28 @@ impl Sim {
     where
         F: Future<Output = ()> + 'static,
     {
-        let mut core = self.core.borrow_mut();
+        let mut core = self.core().borrow_mut();
         let generation = core.next_generation;
         core.next_generation += 1;
         let slot = core.free_slots.pop().unwrap_or_else(|| {
             core.tasks.push(None);
             core.tasks.len() - 1
         });
+        let id = TaskId { slot, generation };
         let waker = Arc::new(TaskWaker {
-            slot,
-            generation,
+            id,
             queued: AtomicBool::new(true), // spawned tasks start on the ready queue
-            ready: Arc::clone(&self.ready),
+            ready: Arc::clone(&self.inner.ready),
         });
         core.tasks[slot] = Some(Task {
-            future: Some(Box::pin(fut)),
+            body: Some((Box::pin(fut), Waker::from(Arc::clone(&waker)))),
             name: Rc::from(name.into()),
-            waker: Arc::clone(&waker),
+            waker,
             generation,
         });
         core.live_tasks += 1;
         drop(core);
-        let id = TaskId { slot, generation };
-        self.ready.push(ReadyItem::Task(id));
+        self.inner.ready.push(ReadyItem::Task(id));
         id
     }
 
@@ -337,25 +449,28 @@ impl Sim {
     }
 
     /// Schedule `waker` to be invoked at absolute time `at`.
-    /// This is the primitive all timed futures are built on.
+    /// This is the primitive all timed futures are built on. The waker of
+    /// the task being polled is not cloned: the timer records the task.
     ///
     /// # Panics
     /// Panics if `at` is in the simulated past.
-    pub fn schedule_waker(&self, at: SimTime, waker: Waker) {
-        let mut core = self.core.borrow_mut();
+    pub fn schedule_waker(&self, at: SimTime, waker: &Waker) {
+        let mut core = self.core().borrow_mut();
         assert!(
             at >= core.now,
             "cannot schedule a waker in the past ({} < {})",
             at,
             core.now
         );
-        let seq = core.event_seq;
-        core.event_seq += 1;
+        let kind = match core.current {
+            Some((id, data)) if data == waker.data() => EventKind::WakeTask(id),
+            _ => EventKind::Wake(waker.clone()),
+        };
         let slot = core.alloc_event(EventSlot {
             at,
-            kind: Some(EventKind::Wake(waker)),
+            kind: Some(kind),
         });
-        core.queue.push(HeapEntry { at, seq, slot });
+        core.push_event(at, slot);
     }
 
     /// Schedule `f` to run on the executor at absolute time `at`. This is
@@ -366,7 +481,7 @@ impl Sim {
     /// # Panics
     /// Panics if `at` is in the simulated past.
     pub fn schedule_call(&self, at: SimTime, f: impl FnOnce() + 'static) {
-        let mut core = self.core.borrow_mut();
+        let mut core = self.core().borrow_mut();
         assert!(
             at >= core.now,
             "cannot schedule a call in the past ({} < {})",
@@ -381,7 +496,7 @@ impl Sim {
         drop(core);
         // The sequence number is assigned when this drains — the same FIFO
         // position where the task-per-message scheme registered its timer.
-        self.ready.push(ReadyItem::CallInit(slot));
+        self.inner.ready.push(ReadyItem::CallInit(slot));
     }
 
     /// A future that completes at absolute simulated time `deadline`.
@@ -427,16 +542,17 @@ impl Sim {
     }
 
     fn run_inner(&self, horizon: SimTime) -> Result<RunOutcome, Deadlock> {
+        let ready = &self.inner.ready;
         loop {
             // Drain the ready FIFO.
-            while let Some(item) = self.ready.pop() {
+            while let Some(item) = ready.pop() {
                 match item {
                     ReadyItem::Task(id) => self.poll_task(id),
                     ReadyItem::CallInit(slot) => self.init_call(slot),
                     ReadyItem::CallRun(slot) => self.run_call(slot),
                 }
             }
-            let mut core = self.core.borrow_mut();
+            let mut core = self.core().borrow_mut();
             if core.live_tasks == 0 && core.pending_calls == 0 {
                 return Ok(RunOutcome::AllDone);
             }
@@ -449,7 +565,7 @@ impl Sim {
                     let mut ops = std::mem::take(&mut core.fire_scratch);
                     ops.clear();
                     while let Some(entry) = core.queue.pop_at(at) {
-                        let op = core.op_for(entry);
+                        let op = core.op_for(entry.slot);
                         ops.push(op);
                     }
                     core.events_fired += ops.len() as u64;
@@ -457,10 +573,11 @@ impl Sim {
                     for op in ops.drain(..) {
                         match op {
                             FireOp::Wake(w) => w.wake(),
-                            FireOp::Run(slot) => self.ready.push(ReadyItem::CallRun(slot)),
+                            FireOp::WakeTask(id) => self.wake_task(id),
+                            FireOp::Run(slot) => ready.push(ReadyItem::CallRun(slot)),
                         }
                     }
-                    self.core.borrow_mut().fire_scratch = ops;
+                    self.core().borrow_mut().fire_scratch = ops;
                 }
                 Some(_) => return Ok(RunOutcome::HorizonReached),
                 None => {
@@ -471,7 +588,7 @@ impl Sim {
                         .tasks
                         .iter()
                         .flatten()
-                        .filter(|t| t.future.is_some())
+                        .filter(|t| t.body.is_some())
                         .map(|t| t.name.to_string())
                         .collect();
                     return Err(Deadlock {
@@ -483,89 +600,83 @@ impl Sim {
         }
     }
 
+    /// Fire a task-keyed timer: exactly what waking the task's own waker
+    /// does, unless the task has exited (its slot may now hold another).
+    fn wake_task(&self, id: TaskId) {
+        let core = self.core().borrow();
+        if let Some(Some(task)) = core.tasks.get(id.slot) {
+            if task.generation == id.generation {
+                task.waker.enqueue();
+            }
+        }
+    }
+
     /// Second half of `schedule_call`: assign the global sequence number
     /// and move the event into the heap.
     fn init_call(&self, slot: u32) {
-        let mut core = self.core.borrow_mut();
+        let mut core = self.core().borrow_mut();
         let at = match core.events.get(slot as usize) {
             Some(ev) => ev.at,
             None => return,
         };
-        let seq = core.event_seq;
-        core.event_seq += 1;
-        core.queue.push(HeapEntry { at, seq, slot });
+        core.push_event(at, slot);
     }
 
     /// Final half of a scheduled call: take the closure, free the slot,
     /// run the closure with the core released.
     fn run_call(&self, slot: u32) {
         let f = {
-            let mut core = self.core.borrow_mut();
-            let taken = core
+            let mut core = self.core().borrow_mut();
+            let Some(EventKind::Call(f)) = core
                 .events
                 .get_mut(slot as usize)
-                .and_then(|e| e.kind.take());
-            match taken {
-                Some(EventKind::Call(f)) => {
-                    core.free_events.push(slot);
-                    core.pending_calls -= 1;
-                    core.calls_run += 1;
-                    f
-                }
-                Some(EventKind::Wake(w)) => {
-                    // Defensive: never produced by the fire loop.
-                    core.free_events.push(slot);
-                    drop(core);
-                    w.wake();
-                    return;
-                }
-                None => return,
-            }
+                .and_then(|e| e.kind.take())
+            else {
+                return;
+            };
+            core.free_events.push(slot);
+            core.pending_calls -= 1;
+            core.calls_run += 1;
+            f
         };
         f();
     }
 
     fn poll_task(&self, id: TaskId) {
-        // Take the future out of the slab so the core is not borrowed
-        // while the task body runs (the body will re-borrow it).
-        let (mut fut, waker) = {
-            let mut core = self.core.borrow_mut();
-            let slot = match core.tasks.get_mut(id.slot) {
+        // Take the future and waker out of the slab so the core is not
+        // borrowed while the task body runs (the body will re-borrow it).
+        let (mut fut, waker, outer) = {
+            let mut core = self.core().borrow_mut();
+            let task = match core.tasks.get_mut(id.slot) {
                 Some(Some(task)) if task.generation == id.generation => task,
                 _ => return, // task already finished; stale wake
             };
-            slot.waker.queued.store(false, Ordering::Release);
-            match slot.future.take() {
-                Some(f) => {
-                    let pair = (f, Arc::clone(&slot.waker));
-                    core.polls += 1;
-                    pair
-                }
-                None => return,
-            }
+            task.waker.queued.store(false, Ordering::Relaxed);
+            let Some((fut, waker)) = task.body.take() else {
+                return;
+            };
+            core.polls += 1;
+            let outer = core.current.replace((id, waker.data()));
+            (fut, waker, outer)
         };
-        let std_waker = Waker::from(Arc::clone(&waker));
-        let mut cx = Context::from_waker(&std_waker);
-        match fut.as_mut().poll(&mut cx) {
-            Poll::Ready(()) => {
-                let mut core = self.core.borrow_mut();
-                if let Some(Some(task)) = core.tasks.get_mut(id.slot) {
-                    if task.generation == id.generation {
-                        core.tasks[id.slot] = None;
-                        core.free_slots.push(id.slot);
-                        core.live_tasks -= 1;
-                    }
+        let poll = fut.as_mut().poll(&mut Context::from_waker(&waker));
+        let mut core = self.core().borrow_mut();
+        core.current = outer;
+        if let Some(Some(task)) = core.tasks.get_mut(id.slot) {
+            if task.generation == id.generation {
+                if poll.is_pending() {
+                    task.body = Some((fut, waker));
+                    return;
                 }
-            }
-            Poll::Pending => {
-                let mut core = self.core.borrow_mut();
-                if let Some(Some(task)) = core.tasks.get_mut(id.slot) {
-                    if task.generation == id.generation {
-                        task.future = Some(fut);
-                    }
-                }
+                core.tasks[id.slot] = None;
+                core.free_slots.push(id.slot);
+                core.live_tasks -= 1;
             }
         }
+        // The finished future drops with the core released: its
+        // destructors may wake or spawn.
+        drop(core);
+        drop(fut);
     }
 }
 
@@ -585,7 +696,7 @@ impl Future for Sleep {
         }
         if !self.registered {
             self.registered = true;
-            self.sim.schedule_waker(self.deadline, cx.waker().clone());
+            self.sim.schedule_waker(self.deadline, cx.waker());
         }
         Poll::Pending
     }
@@ -841,7 +952,7 @@ mod tests {
         });
         sim.run().unwrap();
         // One live sleep at a time: the arena should stay tiny.
-        assert!(sim.core.borrow().events.len() <= 2);
+        assert!(sim.core().borrow().events.len() <= 2);
         assert_eq!(sim.stats().events_fired, 100);
     }
 }

@@ -13,12 +13,17 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::task::Waker;
 
+use crate::executor::TaskId;
 use crate::time::SimTime;
 
 /// What an event does when its deadline is reached.
 pub(crate) enum EventKind {
-    /// Wake a parked task (classic timer semantics).
+    /// Wake a parked task through a waker that is not its own (classic
+    /// timer semantics).
     Wake(Waker),
+    /// Wake a task that registered the timer with its own waker: the same
+    /// dedupe and generation check as `Waker::wake`, without a waker clone.
+    WakeTask(TaskId),
     /// Run a closure on the executor — the arena-allocated replacement for
     /// spawning a short-lived "in-flight" task per message.
     Call(Box<dyn FnOnce()>),
@@ -29,8 +34,8 @@ pub(crate) enum EventKind {
 /// Lifetime rules:
 /// * A slot is allocated when the event is scheduled and holds
 ///   `kind: Some(_)` until the event is consumed.
-/// * `Wake` slots are freed at fire time — the waker is extracted while
-///   the heap entry is popped.
+/// * `Wake` and `WakeTask` slots are freed at fire time — the payload is
+///   extracted while the heap entry is popped.
 /// * `Call` slots outlive their heap entry: firing only enqueues the run
 ///   on the ready FIFO, and the closure is taken (and the slot freed) when
 ///   that FIFO entry drains. This mirrors the poll-after-wake lifecycle of

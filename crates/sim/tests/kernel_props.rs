@@ -7,7 +7,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use gcr_sim::resource::FifoResource;
-use gcr_sim::{DetRng, Sim, SimDuration, SimTime};
+use gcr_sim::{DetRng, Sim, SimDuration, SimStats, SimTime};
 
 fn vec_u64(rng: &mut DetRng, lo: u64, hi: u64, min_len: u64, max_len: u64) -> Vec<u64> {
     (0..rng.range_u64(min_len, max_len))
@@ -103,13 +103,14 @@ fn fifo_resource_work_conserving() {
 }
 
 /// Determinism: two simulations with identical task structure produce
-/// identical completion orders.
+/// identical completion orders and identical kernel counters, high-water
+/// marks included.
 #[test]
 fn identical_programs_identical_schedules() {
     for case in 0..64u64 {
         let mut rng = DetRng::new(0x51B0_0004).fork_idx(case);
         let delays = vec_u64(&mut rng, 0, 5_000, 1, 30);
-        let run = |delays: &[u64]| -> Vec<usize> {
+        let run = |delays: &[u64]| -> (Vec<usize>, SimStats) {
             let sim = Sim::new();
             let order: Rc<RefCell<Vec<usize>>> = Rc::new(RefCell::new(Vec::new()));
             for (i, &d) in delays.iter().enumerate() {
@@ -122,8 +123,14 @@ fn identical_programs_identical_schedules() {
                 });
             }
             sim.run().unwrap();
-            Rc::try_unwrap(order).unwrap().into_inner()
+            (Rc::try_unwrap(order).unwrap().into_inner(), sim.stats())
         };
-        assert_eq!(run(&delays), run(&delays), "case {case}");
+        let (first, stats) = run(&delays);
+        assert_eq!((first, stats), run(&delays), "case {case}");
+        // Every task starts on the ready FIFO, and every nonzero sleep is
+        // registered at t=0, before any timer fires.
+        assert_eq!(stats.max_ready_len, delays.len() as u64, "case {case}");
+        let timed = delays.iter().filter(|&&d| d > 0).count() as u64;
+        assert_eq!(stats.max_pending_events, timed, "case {case}");
     }
 }
