@@ -230,6 +230,14 @@ fn parse_event(s: &str) -> Result<ChaosEvent, String> {
         txt.parse::<u64>()
             .map_err(|_| format!("event `{s}`: bad number `{txt}`"))
     };
+    // Storm and slowdown factors multiply nominal behaviour: below 1
+    // they would speed the cluster up, which the network model forbids.
+    let multiplier = |txt: &str| -> Result<u64, String> {
+        match num(txt)? {
+            0 => Err(format!("event `{s}`: factor must be at least 1")),
+            f => Ok(f),
+        }
+    };
     let window = |txt: &str| -> Result<(u64, u64), String> {
         let (at, dur) = txt
             .split_once('+')
@@ -247,9 +255,10 @@ fn parse_event(s: &str) -> Result<ChaosEvent, String> {
             })
         }
         "storm" => {
-            let factor = num(head
-                .strip_prefix('x')
-                .ok_or_else(|| format!("event `{s}`: expected `storm:x<factor>@<ms>+<dur>`"))?)?;
+            let factor =
+                multiplier(head.strip_prefix('x').ok_or_else(|| {
+                    format!("event `{s}`: expected `storm:x<factor>@<ms>+<dur>`")
+                })?)?;
             let (at_ms, dur_ms) = window(times)?;
             Ok(ChaosEvent::Storm {
                 at_ms,
@@ -280,7 +289,7 @@ fn parse_event(s: &str) -> Result<ChaosEvent, String> {
                 at_ms,
                 dur_ms,
                 node: num(node)?,
-                factor: num(factor)?,
+                factor: multiplier(factor)?,
             })
         }
         "torn" => {
@@ -428,6 +437,11 @@ mod tests {
         assert!(parse_schedule("replica:1@1500").is_err());
         assert!(parse_schedule("replica:g1p2@1500").is_err());
         assert!(parse_schedule("replica:g1p@1500").is_err());
+        // A factor below 1 would speed the cluster up; 1 is nominal speed.
+        for bad in ["slow:n0x0@10+5", "storm:x0@1+1"] {
+            assert!(parse_schedule(bad).unwrap_err().contains(bad));
+        }
+        assert!(parse_schedule("slow:n0x1@10+5;storm:x1@1+1").is_ok());
     }
 
     #[test]

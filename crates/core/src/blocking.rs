@@ -12,13 +12,7 @@
 //! 4. **Finalize** — barrier again, then resume execution regardless of
 //!    other groups' progress.
 
-use std::rc::Rc;
-
-use gcr_mpi::Rank;
-use gcr_net::ImageOp;
-use gcr_sim::future::join_all;
-
-use crate::ctrlplane::{bookmark_drain, ctrl_barrier, tags, CTRL_BYTES};
+use crate::ctrlplane::{bookmark_drain, ctrl_barrier, decide_commit, tags, write_member_image};
 use crate::metrics::{CkptRecord, PhaseBreakdown};
 use crate::runtime::RankProto;
 
@@ -79,50 +73,14 @@ pub(crate) async fn blocking_wave(p: &RankProto, wave: u64) {
     // decided at commit time.
     let gid = p.groups.group_of(rank.0);
     let store = world.cluster().ckpt_store().clone();
-    let backend = world.cluster().backend();
     store.begin(gid, wave);
     // gcr-lint: allow(D03-T) image_bytes is sized to the world when the config is built; the restart side re-reads it with get()+MissingImage
     let image_bytes = p.cfg.image_bytes[rank.idx()];
     let trap = p.crash_trap(gid);
-    let is_coord = members.first() == Some(&rank.0);
-    match trap
-        .as_ref()
-        .filter(|t| is_coord && !t.fired.get() && t.phase < 2)
-    {
-        Some(t) if t.phase == 0 => {
-            // Crash before the image write: nothing reaches the store.
-            t.fired.set(true);
-            store.record_failure(gid, wave, rank.0);
-        }
-        Some(t) => {
-            // Crash halfway through the write: half the service time was
-            // spent, but the image never completes.
-            t.fired.set(true);
-            // gcr-lint: allow(E01) deliberate torn write — the injected crash abandons this I/O mid-flight, so its outcome must never reach the protocol
-            let _ = storage
-                .write(rank.idx(), image_bytes / 2, p.cfg.storage)
-                .await;
-            store.record_failure(gid, wave, rank.0);
-        }
-        None => {
-            // The image goes through the cluster's checkpoint backend:
-            // the disk path writes it to the configured target, the
-            // restore path additionally pushes staged replica copies to
-            // peer memory during this post-write phase.
-            let op = ImageOp {
-                node: rank.idx(),
-                group: gid,
-                gen: Some(wave),
-                rank: rank.0,
-                bytes: image_bytes,
-                target: p.cfg.storage,
-                policy: p.cfg.retry,
-            };
-            match backend.write_image(op).await {
-                Ok(_) => store.record_image(gid, wave, rank.0, image_bytes),
-                Err(_) => store.record_failure(gid, wave, rank.0),
-            }
-        }
+    if write_member_image(p, wave, image_bytes, trap.as_deref()).await {
+        store.record_image(gid, wave, rank.0, image_bytes);
+    } else {
+        store.record_failure(gid, wave, rank.0);
     }
     let t_img = ctx.now();
 
@@ -133,48 +91,7 @@ pub(crate) async fn blocking_wave(p: &RankProto, wave: u64) {
         .await
         // gcr-lint: allow(D03-T) membership comes from the validated group definition, fixed before any fault fires
         .expect("barrier membership comes from the validated group definition");
-    let committed = if is_coord {
-        let decision = if trap
-            .as_ref()
-            .is_some_and(|t| t.phase == 2 && !t.fired.get())
-        {
-            // Crash between the last write ack and the commit record: the
-            // images are all on disk, but the generation never commits.
-            if let Some(t) = trap.as_ref() {
-                t.fired.set(true);
-            }
-            store.abort(gid, wave);
-            false
-        } else {
-            store.commit(gid, wave, &members)
-        };
-        // The backend rides the commit broadcast: a commit flips the
-        // wave's staged replica copies servable, an abort discards them.
-        if decision {
-            backend.on_commit(gid, wave);
-        } else {
-            backend.on_abort(gid, wave);
-        }
-        let futs: Vec<_> = members
-            .iter()
-            .filter(|&&m| m != rank.0)
-            .map(|&m| {
-                ctx.ctrl_send(
-                    Rank(m),
-                    tags::COMMIT + wave,
-                    CTRL_BYTES,
-                    Some(Rc::new(decision as u64)),
-                )
-            })
-            .collect();
-        join_all(futs).await;
-        decision
-    } else {
-        // gcr-lint: allow(D03-T) members contains this rank, so it is never empty
-        let coord = Rank(members[0]);
-        let env = ctx.ctrl_recv(coord, tags::COMMIT + wave).await;
-        env.payload_as::<u64>().map(|v| *v != 0).unwrap_or(false)
-    };
+    let committed = decide_commit(p, wave, trap.as_deref(), true).await;
     if committed {
         p.gp.on_commit(wave);
         if let Some(rb) = &p.rb {

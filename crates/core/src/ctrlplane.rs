@@ -1,5 +1,7 @@
 //! Control-plane primitives shared by the protocol engines: tag layout,
-//! group barriers over control messages, and the bookmark drain.
+//! group barriers over control messages, the bookmark drain, and the
+//! group two-phase commit's image write and decision shared by the
+//! blocking and CVC waves.
 //!
 //! Everything here rides on [`gcr_mpi`]'s control message class — it costs
 //! real network time but is invisible to tracing, the app-volume counters,
@@ -9,9 +11,11 @@
 use std::rc::Rc;
 
 use gcr_mpi::{Rank, RankCtx};
+use gcr_net::ImageOp;
 use gcr_sim::future::{join2, join_all};
 
 use crate::error::RecoveryError;
+use crate::runtime::{CrashTrap, RankProto};
 
 /// Control-tag namespaces (each offset by the wave / phase id).
 pub mod tags {
@@ -37,14 +41,6 @@ pub mod tags {
     /// CVC clock-exchange round: `CVC_CLOCK + wave`, payload the
     /// sender's flattened per-communicator clock vector.
     pub const CVC_CLOCK: u64 = 0x0A00_0000;
-    /// Receiver-based restart volume exchange (restarting rank sends its
-    /// receiver-log high-water mark; a live peer answers with its
-    /// consumed volume).
-    pub const RBLOG_VOL: u64 = 0x0B00_0000;
-    /// Receiver-based restart tail-replay plan (entry count).
-    pub const RBLOG_PLAN: u64 = 0x0C00_0000;
-    /// Receiver-based restart tail-replayed message.
-    pub const RBLOG_DATA: u64 = 0x0D00_0000;
 }
 
 /// Wire size of a small control message (bookmarks, barrier tokens).
@@ -136,6 +132,124 @@ pub async fn bookmark_drain(
         r?;
     }
     Ok(())
+}
+
+/// Write this member's wave-`wave` image of `image_bytes` under the
+/// group's crash trap, if one is armed. A trap at phase `0` crashes the
+/// group coordinator before the write (nothing reaches storage), at phase
+/// `1` halfway through it (half the service time is spent, the image never
+/// completes). Otherwise the image goes through the cluster's checkpoint
+/// backend: the disk path writes it to the configured target, the restore
+/// path also stages replica copies in peer memory.
+///
+/// Returns whether the image is complete. The caller records the outcome
+/// in the catalog; the commit decision is [`decide_commit`]'s.
+pub(crate) async fn write_member_image(
+    p: &RankProto,
+    wave: u64,
+    image_bytes: u64,
+    trap: Option<&CrashTrap>,
+) -> bool {
+    let rank = p.ctx.rank();
+    let gid = p.groups.group_of(rank.0);
+    let is_coord = p.groups.members(gid).first() == Some(&rank.0);
+    let cluster = p.ctx.world().cluster();
+    match trap.filter(|t| is_coord && !t.fired.get() && t.phase < 2) {
+        Some(t) if t.phase == 0 => {
+            t.fired.set(true);
+            false
+        }
+        Some(t) => {
+            // Whether the torn half-write itself errors changes nothing —
+            // the member failed mid-image either way.
+            t.fired.set(true);
+            let storage = cluster.storage();
+            match storage
+                .write(rank.idx(), image_bytes / 2, p.cfg.storage)
+                .await
+            {
+                Ok(_) | Err(_) => false,
+            }
+        }
+        None => {
+            let backend = cluster.backend();
+            let op = ImageOp {
+                node: rank.idx(),
+                group: gid,
+                gen: Some(wave),
+                rank: rank.0,
+                bytes: image_bytes,
+                target: p.cfg.storage,
+                policy: p.cfg.retry,
+            };
+            backend.write_image(op).await.is_ok()
+        }
+    }
+}
+
+/// The group two-phase commit's decision for wave `wave`, run by every
+/// member once the post-record barrier has made each member's outcome
+/// visible in the catalog. The group coordinator (its first member)
+/// aborts the generation if the wave is not `sealed` (the barrier
+/// failed) or the group's crash trap is armed at phase `2` — a crash
+/// between the last write ack and the commit record — and otherwise
+/// commits it if every member recorded an image. The backend rides the
+/// decision (a commit flips the wave's staged replica copies servable, an
+/// abort discards them), then the coordinator broadcasts it; the other
+/// members receive it.
+///
+/// Returns whether the generation committed, as this member sees it.
+pub(crate) async fn decide_commit(
+    p: &RankProto,
+    wave: u64,
+    trap: Option<&CrashTrap>,
+    sealed: bool,
+) -> bool {
+    let ctx = &p.ctx;
+    let rank = ctx.rank();
+    let gid = p.groups.group_of(rank.0);
+    let members = p.groups.members(gid);
+    match members.first().copied() {
+        Some(coord) if coord == rank.0 => {
+            let cluster = ctx.world().cluster();
+            let store = cluster.ckpt_store();
+            let decision = if !sealed {
+                store.abort(gid, wave);
+                false
+            } else if let Some(t) = trap.filter(|t| t.phase == 2 && !t.fired.get()) {
+                t.fired.set(true);
+                store.abort(gid, wave);
+                false
+            } else {
+                store.commit(gid, wave, members)
+            };
+            let backend = cluster.backend();
+            if decision {
+                backend.on_commit(gid, wave);
+            } else {
+                backend.on_abort(gid, wave);
+            }
+            let futs: Vec<_> = members
+                .iter()
+                .filter(|&&m| m != rank.0)
+                .map(|&m| {
+                    ctx.ctrl_send(
+                        Rank(m),
+                        tags::COMMIT + wave,
+                        CTRL_BYTES,
+                        Some(Rc::new(decision as u64)),
+                    )
+                })
+                .collect();
+            join_all(futs).await;
+            decision
+        }
+        Some(coord) => {
+            let env = ctx.ctrl_recv(Rank(coord), tags::COMMIT + wave).await;
+            sealed && env.payload_as::<u64>().is_some_and(|v| *v != 0)
+        }
+        None => false,
+    }
 }
 
 #[cfg(test)]

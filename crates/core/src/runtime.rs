@@ -19,10 +19,7 @@ use crate::cvc::{cvc_wave, CvcState};
 use crate::error::RecoveryError;
 use crate::hooks::{GpState, RbState, VclState};
 use crate::metrics::Metrics;
-use crate::restart::{
-    restart_rank, restart_rank_rblog, restart_rank_with_peers, restart_rank_with_peers_rblog,
-    serve_peer_recovery, serve_peer_recovery_rblog,
-};
+use crate::restart::{restart_rank, restart_rank_with_peers, serve_peer_recovery};
 use crate::vcl::vcl_wave;
 
 /// A crash trap armed on a group (fault injection): the group's next
@@ -100,18 +97,16 @@ impl CkptRuntime {
             n,
             "image_bytes must cover every rank"
         );
-        if mode == Mode::Vcl {
+        let global = match mode {
+            Mode::Vcl => Some("VCL"),
+            Mode::Cvc => Some("CVC"),
+            Mode::Blocking | Mode::RbLog => None,
+        };
+        if let Some(model) = global {
             assert_eq!(
                 groups.group_count(),
                 1,
-                "the VCL model checkpoints globally; use a single group"
-            );
-        }
-        if mode == Mode::Cvc {
-            assert_eq!(
-                groups.group_count(),
-                1,
-                "the CVC model checkpoints globally; use a single group"
+                "the {model} model checkpoints globally; use a single group"
             );
         }
         let cfg = Rc::new(cfg);
@@ -491,20 +486,8 @@ impl CkptRuntime {
         done.add(n);
         let root_rng = DetRng::new(self.inner.cfg.seed ^ 0xdead_beef);
         let first_err: Rc<RefCell<Option<RecoveryError>>> = Rc::new(RefCell::new(None));
-        let mode = self.inner.mode;
         for r in 0..n as u32 {
-            let proto = RankProto {
-                ctx: self.inner.world.ctx(Rank(r)),
-                groups: Rc::clone(&self.inner.groups),
-                cfg: Rc::clone(&self.inner.cfg),
-                metrics: self.inner.metrics.clone(),
-                gp: Rc::clone(&self.inner.gp[r as usize]),
-                vcl: VclState::new(r, n),
-                cvc: Rc::clone(&self.inner.cvc[r as usize]),
-                rb: self.inner.rb[r as usize].clone(),
-                rng: RefCell::new(root_rng.fork_idx(r as u64)),
-                traps: Rc::clone(&self.inner.traps),
-            };
+            let proto = self.recovery_proto(r, &root_rng);
             let done = done.clone();
             let first_err = Rc::clone(&first_err);
             let gen = gen_of_rank[r as usize];
@@ -512,15 +495,7 @@ impl CkptRuntime {
                 .world
                 .sim()
                 .spawn_named(format!("restart{r}"), async move {
-                    let rb = proto.rb.clone();
-                    let result = if let (Mode::RbLog, Some(rb)) = (mode, &rb) {
-                        // Receiver-based restart: replay from the local
-                        // receiver log, solicit only the unacked tail.
-                        restart_rank_rblog(&proto, rb, gen).await
-                    } else {
-                        restart_rank(&proto, gen).await
-                    };
-                    if let Err(e) = result {
+                    if let Err(e) = restart_rank(&proto, gen).await {
                         first_err.borrow_mut().get_or_insert(e);
                     }
                     done.done();
@@ -587,20 +562,8 @@ impl CkptRuntime {
         let replayed_in = Rc::new(Cell::new(0u64));
         let first_err: Rc<RefCell<Option<RecoveryError>>> = Rc::new(RefCell::new(None));
         let root_rng = DetRng::new(self.inner.cfg.seed ^ 0xfa11_ed00);
-        let mode = self.inner.mode;
         for r in 0..n as u32 {
-            let proto = RankProto {
-                ctx: self.inner.world.ctx(Rank(r)),
-                groups: Rc::clone(&self.inner.groups),
-                cfg: Rc::clone(&self.inner.cfg),
-                metrics: self.inner.metrics.clone(),
-                gp: Rc::clone(&self.inner.gp[r as usize]),
-                vcl: VclState::new(r, n),
-                cvc: Rc::clone(&self.inner.cvc[r as usize]),
-                rb: self.inner.rb[r as usize].clone(),
-                rng: RefCell::new(root_rng.fork_idx(r as u64)),
-                traps: Rc::clone(&self.inner.traps),
-            };
+            let proto = self.recovery_proto(r, &root_rng);
             done.add(1);
             let done = done.clone();
             let is_member = members.contains(&r);
@@ -616,22 +579,11 @@ impl CkptRuntime {
                 .sim()
                 .spawn_named(format!("recover{r}"), async move {
                     if is_member {
-                        let rb = proto.rb.clone();
-                        let result = if let (Mode::RbLog, Some(rb)) = (mode, &rb) {
-                            restart_rank_with_peers_rblog(&proto, rb, &peers, generation).await
-                        } else {
-                            restart_rank_with_peers(&proto, &peers, generation).await
-                        };
-                        if let Err(e) = result {
+                        if let Err(e) = restart_rank_with_peers(&proto, &peers, generation).await {
                             first_err.borrow_mut().get_or_insert(e);
                         }
                     } else {
-                        let result = if mode == Mode::RbLog {
-                            serve_peer_recovery_rblog(&proto, &peers).await
-                        } else {
-                            serve_peer_recovery(&proto, &peers).await
-                        };
-                        match result {
+                        match serve_peer_recovery(&proto, &peers).await {
                             Ok(served) => replayed_in.set(replayed_in.get() + served),
                             Err(e) => {
                                 first_err.borrow_mut().get_or_insert(e);
@@ -654,6 +606,24 @@ impl CkptRuntime {
             generation,
             fell_back,
         })
+    }
+
+    /// Rank `r`'s protocol context for a restart or recovery run, with its
+    /// own fork of the run's `root_rng`.
+    fn recovery_proto(&self, r: u32, root_rng: &DetRng) -> RankProto {
+        let i = r as usize;
+        RankProto {
+            ctx: self.inner.world.ctx(Rank(r)),
+            groups: Rc::clone(&self.inner.groups),
+            cfg: Rc::clone(&self.inner.cfg),
+            metrics: self.inner.metrics.clone(),
+            gp: Rc::clone(&self.inner.gp[i]),
+            vcl: VclState::new(r, self.inner.world.n()),
+            cvc: Rc::clone(&self.inner.cvc[i]),
+            rb: self.inner.rb[i].clone(),
+            rng: RefCell::new(root_rng.fork_idx(r as u64)),
+            traps: Rc::clone(&self.inner.traps),
+        }
     }
 
     /// Stop all protocol daemons (drop their command channels). Call once

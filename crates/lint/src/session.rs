@@ -75,11 +75,8 @@ pub const SESSIONS: &[SessionSpec] = &[
         mode: "RbLog",
         entries: &[
             ("blocking_wave", "crates/core/src/blocking.rs"),
-            (
-                "restart_rank_with_peers_rblog",
-                "crates/core/src/restart.rs",
-            ),
-            ("serve_peer_recovery_rblog", "crates/core/src/restart.rs"),
+            ("restart_rank_with_peers", "crates/core/src/restart.rs"),
+            ("serve_peer_recovery", "crates/core/src/restart.rs"),
         ],
     },
 ];

@@ -18,6 +18,7 @@ use gcr_chaos::{
 };
 use gcr_group::{detect_phases, form_groups};
 use gcr_net::StorageTarget;
+use gcr_sim::SimDuration;
 use gcr_trace::io as trace_io;
 use gcr_workloads::{CgConfig, HplConfig, RingConfig, SpConfig};
 
@@ -237,6 +238,17 @@ impl<'a> Flags<'a> {
     }
 }
 
+/// `v` as simulated seconds for `flag`: a finite, non-negative number.
+fn parse_secs(flag: &str, v: &str) -> Result<f64, CliError> {
+    match v.parse::<f64>() {
+        Ok(s) if s.is_finite() && s >= 0.0 => Ok(s),
+        Ok(_) => Err(err(format!(
+            "{flag} must be a finite, non-negative number of seconds"
+        ))),
+        Err(_) => Err(err(format!("{flag} expects seconds"))),
+    }
+}
+
 fn parse_workload(f: &Flags) -> Result<WorkloadArg, CliError> {
     let kind = match f.require("--workload")? {
         "hpl" => WorkloadKind::Hpl,
@@ -298,6 +310,9 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         "run" => {
             let workload = parse_workload(&f)?;
             let g: usize = f.parse_num_or("--g", 8)?;
+            if g == 0 {
+                return Err(err("--g must be at least 1"));
+            }
             let proto = match f.require("--proto")? {
                 "gp" => Proto::Gp { max_size: g },
                 "gp1" => Proto::Gp1,
@@ -310,11 +325,12 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 (Some(_), Some(_)) => {
                     return Err(err("--ckpt-at and --interval are mutually exclusive"))
                 }
-                (Some(t), None) => {
-                    Schedule::SingleAt(t.parse().map_err(|_| err("--ckpt-at expects seconds"))?)
-                }
+                (Some(t), None) => Schedule::SingleAt(parse_secs("--ckpt-at", t)?),
                 (None, Some(iv)) => {
-                    let iv: f64 = iv.parse().map_err(|_| err("--interval expects seconds"))?;
+                    let iv = parse_secs("--interval", iv)?;
+                    if SimDuration::from_secs_f64(iv).is_zero() {
+                        return Err(err("--interval must be at least 1 ns"));
+                    }
                     Schedule::Interval {
                         start_s: iv,
                         every_s: iv,
@@ -370,10 +386,15 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             };
             let interval_ms = match f.get("--interval-ms") {
                 None => None,
-                Some(v) => Some(
-                    v.parse()
-                        .map_err(|_| err("--interval-ms expects milliseconds"))?,
-                ),
+                Some(v) => {
+                    let ms: u64 = v
+                        .parse()
+                        .map_err(|_| err("--interval-ms expects milliseconds"))?;
+                    if ms == 0 {
+                        return Err(err("--interval-ms must be at least 1"));
+                    }
+                    Some(ms)
+                }
             };
             let gc_overshoot = match f.get("--gc-overshoot") {
                 None => None,
@@ -743,6 +764,31 @@ mod tests {
         ))
         .unwrap_err();
         assert!(e.0.contains("mutually exclusive"));
+    }
+
+    #[test]
+    fn rejects_values_the_simulator_cannot_run() {
+        // Each of these used to reach an assert deep in the simulator.
+        let run = "run --workload ring --procs 4 --proto gp";
+        for (args, want) in [
+            ("--g 0", "--g must be at least 1"),
+            ("--interval 0", "--interval must be at least 1 ns"),
+            ("--interval 1e-12", "--interval must be at least 1 ns"),
+            ("--interval -1", "--interval must be a finite"),
+            ("--interval nan", "--interval must be a finite"),
+            ("--interval inf", "--interval must be a finite"),
+            ("--ckpt-at -5", "--ckpt-at must be a finite"),
+            ("--ckpt-at nan", "--ckpt-at must be a finite"),
+        ] {
+            let e = parse(&argv(&format!("{run} {args}"))).unwrap_err();
+            assert!(e.0.contains(want), "`{args}`: {e}");
+        }
+        let e = parse(&argv("chaos --seed 1 --interval-ms 0")).unwrap_err();
+        assert!(e.0.contains("--interval-ms must be at least 1"), "{e}");
+        // The boundaries themselves are accepted.
+        assert!(parse(&argv(&format!("{run} --g 1 --interval 1e-9"))).is_ok());
+        assert!(parse(&argv(&format!("{run} --ckpt-at 0"))).is_ok());
+        assert!(parse(&argv("chaos --seed 1 --interval-ms 1")).is_ok());
     }
 
     #[test]

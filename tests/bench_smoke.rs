@@ -8,37 +8,88 @@ use gcr_json::Json;
 use gcr_net::StorageTarget;
 
 /// Digests of the pinned scenario (seed 0xD1CE, ring workload, local
-/// storage, 700 ms interval, `crash:g1@2500`) captured on the
-/// single-heap executor before the event arena and the CallInit/CallRun
-/// two-step replaced task-per-message delivery.
-const PINNED: [(ChaosProto, u64); 5] = [
+/// storage, 700 ms interval, `crash:g1@2500`). The blocking family and
+/// VCL were captured on the single-heap executor before the event arena
+/// and the CallInit/CallRun two-step replaced task-per-message delivery;
+/// CVC and receiver-based logging were captured on the commit before
+/// their restart and two-phase-commit bodies were merged into the
+/// blocking family's.
+const PINNED: [(ChaosProto, u64); 7] = [
     (ChaosProto::Norm, 0xaa0753172d701950),
     (ChaosProto::Gp, 0x3638182098136693),
     (ChaosProto::Gp1, 0x85db100133b6753e),
     (ChaosProto::Gp4, 0x994ab282c0502e59),
     (ChaosProto::Vcl, 0x3b1eea16a89df404),
+    (ChaosProto::Cvc, 0x63bd4fee771a7ce2),
+    (ChaosProto::Rblog, 0x7530a15a2a6cc0e0),
 ];
+
+/// The pinned scenario with `schedule` in place of its crash.
+fn pinned_spec(proto: ChaosProto, schedule: &str) -> ChaosSpec {
+    ChaosSpec {
+        seed: 0xD1CE,
+        workload: ChaosWorkload::Ring,
+        proto,
+        storage: StorageTarget::Local,
+        interval_ms: 700,
+        gc_overshoot: 0,
+        schedule: parse_schedule(schedule).expect("literal schedule parses"),
+        backend: ChaosBackend::Disk,
+        replication: 2,
+    }
+}
 
 #[test]
 fn chaos_digests_match_the_pinned_values() {
     for (proto, want) in PINNED {
-        let spec = ChaosSpec {
-            seed: 0xD1CE,
-            workload: ChaosWorkload::Ring,
-            proto,
-            storage: StorageTarget::Local,
-            interval_ms: 700,
-            gc_overshoot: 0,
-            schedule: parse_schedule("crash:g1@2500").expect("literal schedule parses"),
-            backend: ChaosBackend::Disk,
-            replication: 2,
-        };
-        let got = run_chaos(&spec).digest();
+        let got = run_chaos(&pinned_spec(proto, "crash:g1@2500")).digest();
         assert_eq!(
             got,
             want,
             "{}: digest {got:#018x} != pin {want:#018x} — \
              the executor changed observable behavior",
+            proto.label()
+        );
+    }
+}
+
+/// Digests of the pinned scenario with a crash trap armed on group 0 at
+/// each phase (`crashckpt:g0p<phase>@1500;crash:g0@2600`): the next wave
+/// fails before, halfway through or after its image write, and the crash
+/// restarts from the fallback generation. These cover the crash-trap
+/// image write and the coordinator's commit decision shared by the
+/// blocking and CVC waves. Captured on the commit before that code was
+/// shared.
+const TRAP_PINNED: [(ChaosProto, u8, u64); 6] = [
+    (ChaosProto::Gp, 0, 0x8cd40006453d5e04),
+    (ChaosProto::Gp, 1, 0xc543b77fcc5ee400),
+    (ChaosProto::Gp, 2, 0x5fd59aa04ab7a37f),
+    (ChaosProto::Cvc, 0, 0x67c94d9b9eaa4be3),
+    (ChaosProto::Cvc, 1, 0xf99c00920b8abd20),
+    (ChaosProto::Cvc, 2, 0x9c331e265c271e34),
+];
+
+#[test]
+fn crash_trap_digests_match_the_pinned_values() {
+    for (proto, phase, want) in TRAP_PINNED {
+        let schedule = format!("crashckpt:g0p{phase}@1500;crash:g0@2600");
+        let report = run_chaos(&pinned_spec(proto, &schedule));
+        assert!(
+            report.passed(),
+            "{} {schedule}: {:?}",
+            proto.label(),
+            report.violations
+        );
+        assert!(
+            report.recoveries.iter().any(|r| r.fell_back),
+            "{} {schedule}: the trap never landed",
+            proto.label()
+        );
+        let got = report.digest();
+        assert_eq!(
+            got,
+            want,
+            "{} {schedule}: digest {got:#018x} != pin {want:#018x}",
             proto.label()
         );
     }
