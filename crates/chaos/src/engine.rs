@@ -353,11 +353,13 @@ pub fn run_chaos(spec: &ChaosSpec) -> ChaosReport {
                         return;
                     }
                     let gid = (group as usize) % groups.group_count();
-                    rt.arm_crash_trap(gid, phase as u8);
-                    // The trap fires inside the group's next blocking wave;
-                    // if the application finishes first (or the protocol
-                    // takes no further wave — e.g. VCL has no group-scoped
-                    // waves), the fault never lands.
+                    // VCL's waves read no traps: the fault can never land.
+                    if !rt.arm_crash_trap(gid, phase as u8) {
+                        skipped.set(skipped.get() + 1);
+                        return;
+                    }
+                    // The trap fires inside the group's next wave; if the
+                    // application finishes first, the fault never lands.
                     while !rt.crash_trap_fired(gid) && world.ranks_finished() < n_u {
                         sim2.sleep(POLL).await;
                     }

@@ -241,6 +241,32 @@ fn crash_during_checkpoint_falls_back_to_committed_generation() {
     }
 }
 
+/// VCL's global waves read no crash traps, so a `crashckpt` under VCL is
+/// skipped at once instead of polling until the application ends — and
+/// the run is the one an empty schedule gives.
+#[test]
+fn crash_ckpt_under_vcl_is_skipped_without_changing_the_run() {
+    let vcl = |schedule| {
+        spec(
+            40,
+            ChaosWorkload::Ring,
+            ChaosProto::Vcl,
+            StorageTarget::Remote,
+            700,
+            schedule,
+        )
+    };
+    let trapped = run_chaos(&vcl("crashckpt:g0p1@1500"));
+    let quiet = run_chaos(&vcl(""));
+    assert!(trapped.passed(), "{:?}", trapped.violations);
+    assert_eq!(trapped.events_skipped, 1);
+    assert_eq!(trapped.events_applied, 0);
+    assert_eq!(trapped.exec_s, quiet.exec_s);
+    assert_eq!(trapped.waves, quiet.waves);
+    assert_eq!(trapped.recoveries, quiet.recoveries);
+    assert_eq!(trapped.metrics_digest, quiet.metrics_digest);
+}
+
 /// Tentpole acceptance: corrupting the newest committed image and then
 /// crashing the group restarts it from the *previous* committed
 /// generation — the digest check rejects the corrupt image, generation

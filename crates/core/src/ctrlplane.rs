@@ -95,40 +95,34 @@ pub async fn bookmark_drain(
     wave: u64,
 ) -> Result<(), RecoveryError> {
     let me = ctx.rank();
-    let world = ctx.world().clone();
     // A rendezvous send that was granted its CTS will put data on the wire
     // without further application involvement; wait for those so the
     // bookmark snapshot is complete.
-    world.wait_no_pending_grants(me).await;
+    ctx.world().wait_no_pending_grants(me).await;
     let tag = tags::BOOKMARK + wave;
-    let peers: Vec<Rank> = members
-        .iter()
-        .filter(|&&r| r != me.0)
-        .map(|&r| Rank(r))
-        .collect();
-    let futs: Vec<_> = peers
-        .iter()
-        .map(|&peer| {
-            let ctx = ctx.clone();
-            let world = world.clone();
-            async move {
-                let my_sent = world.pair_stats(me, peer).sent_bytes;
-                let (_, env) = join2(
-                    ctx.ctrl_send(peer, tag, CTRL_BYTES, Some(Rc::new(my_sent))),
-                    ctx.ctrl_recv(peer, tag),
-                )
-                .await;
-                let their_sent = *env.payload_as::<u64>().ok_or(RecoveryError::BadPayload {
-                    at: me.0,
-                    from: peer.0,
-                    what: "bookmark",
-                })?;
-                world.wait_arrived(peer, me, their_sent).await;
-                Ok::<(), RecoveryError>(())
-            }
-        })
-        .collect();
-    for r in join_all(futs).await {
+    // One small future per peer, polled in place by `join_all`: it holds
+    // only `ctx` and the bookmark (not the received envelope) across its
+    // awaits.
+    let peers = members.iter().filter(|&&r| r != me.0).map(|&r| {
+        let ctx = ctx.clone();
+        async move {
+            let peer = Rank(r);
+            let my_sent = ctx.world().pair_stats(me, peer).sent_bytes;
+            let (_, their_sent) = join2(
+                ctx.ctrl_send(peer, tag, CTRL_BYTES, Some(Rc::new(my_sent))),
+                async { ctx.ctrl_recv(peer, tag).await.payload_as::<u64>().copied() },
+            )
+            .await;
+            let their_sent = their_sent.ok_or(RecoveryError::BadPayload {
+                at: me.0,
+                from: peer.0,
+                what: "bookmark",
+            })?;
+            ctx.world().wait_arrived(peer, me, their_sent).await;
+            Ok::<(), RecoveryError>(())
+        }
+    });
+    for r in join_all(peers).await {
         r?;
     }
     Ok(())
@@ -229,19 +223,15 @@ pub(crate) async fn decide_commit(
             } else {
                 backend.on_abort(gid, wave);
             }
-            let futs: Vec<_> = members
-                .iter()
-                .filter(|&&m| m != rank.0)
-                .map(|&m| {
-                    ctx.ctrl_send(
-                        Rank(m),
-                        tags::COMMIT + wave,
-                        CTRL_BYTES,
-                        Some(Rc::new(decision as u64)),
-                    )
-                })
-                .collect();
-            join_all(futs).await;
+            join_all(members.iter().filter(|&&m| m != rank.0).map(|&m| {
+                ctx.ctrl_send(
+                    Rank(m),
+                    tags::COMMIT + wave,
+                    CTRL_BYTES,
+                    Some(Rc::new(decision as u64)),
+                )
+            }))
+            .await;
             decision
         }
         Some(coord) => {

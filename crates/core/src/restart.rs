@@ -132,58 +132,55 @@ pub(crate) async fn restart_rank_with_peers(
     let mut resend_ops = 0u64;
     let mut resend_bytes = 0u64;
     let mut skip_bytes = 0u64;
-    let futs: Vec<_> = out
-        .iter()
-        .map(|&q| {
-            let ctx = ctx.clone();
-            let gp = Rc::clone(&p.gp);
-            let rb = p.rb.clone();
-            async move {
-                let peer = Rank(q);
-                // The mark I advertise for Q's stream: how much I had
-                // received from it at my checkpoint (RR_Q), or, under
-                // receiver-based logging, how far my local replay from
-                // my own receiver log reaches.
-                let mark: u64 = match &rb {
-                    Some(rb) => {
-                        let local = rb.replay_local(q, gp.rr(q));
-                        let local_bytes: u64 = local.iter().map(|e| e.bytes).sum();
-                        if local_bytes > 0 {
-                            let storage = ctx.world().cluster().storage();
-                            storage
-                                .read(ctx.rank().idx(), local_bytes, StorageTarget::Local)
-                                .await?;
-                        }
-                        rb.logged_end(q)
+    let futs = out.iter().map(|&q| {
+        let ctx = ctx.clone();
+        let gp = Rc::clone(&p.gp);
+        let rb = p.rb.clone();
+        async move {
+            let peer = Rank(q);
+            // The mark I advertise for Q's stream: how much I had
+            // received from it at my checkpoint (RR_Q), or, under
+            // receiver-based logging, how far my local replay from
+            // my own receiver log reaches.
+            let mark: u64 = match &rb {
+                Some(rb) => {
+                    let local = rb.replay_local(q, gp.rr(q));
+                    let local_bytes: u64 = local.iter().map(|e| e.bytes).sum();
+                    if local_bytes > 0 {
+                        let storage = ctx.world().cluster().storage();
+                        storage
+                            .read(ctx.rank().idx(), local_bytes, StorageTarget::Local)
+                            .await?;
                     }
-                    None => gp.rr(q),
-                };
-                // Exchange: Q answers with the same mark about me.
-                let (_, env) = join2(
-                    ctx.ctrl_send(peer, tags::RESTART_VOL, CTRL_BYTES, Some(Rc::new(mark))),
-                    ctx.ctrl_recv(peer, tags::RESTART_VOL),
-                )
-                .await;
-                let q_received = *env.payload_as::<u64>().ok_or(RecoveryError::BadPayload {
-                    at: ctx.rank().0,
-                    from: peer.0,
-                    what: "volume",
-                })?;
+                    rb.logged_end(q)
+                }
+                None => gp.rr(q),
+            };
+            // Exchange: Q answers with the same mark about me.
+            let (_, env) = join2(
+                ctx.ctrl_send(peer, tags::RESTART_VOL, CTRL_BYTES, Some(Rc::new(mark))),
+                ctx.ctrl_recv(peer, tags::RESTART_VOL),
+            )
+            .await;
+            let q_received = *env.payload_as::<u64>().ok_or(RecoveryError::BadPayload {
+                at: ctx.rank().0,
+                from: peer.0,
+                what: "volume",
+            })?;
 
-                // Replay: messages I sent before my checkpoint that Q had
-                // not received at its checkpoint.
-                let entries = gp.replay_entries(q, q_received);
-                let ops = entries.len() as u64;
-                // Replay is per-message: whole log entries go back on the
-                // wire (the receiver discards any already-consumed prefix).
-                let bytes: u64 = entries.iter().map(|e| e.bytes).sum();
-                // Skip: bytes Q already consumed beyond my rolled-back S.
-                let skip = q_received.saturating_sub(gp.ss(q));
-                stream_replay(&ctx, peer, entries, bytes).await?;
-                Ok::<(u64, u64, u64), RecoveryError>((ops, bytes, skip))
-            }
-        })
-        .collect();
+            // Replay: messages I sent before my checkpoint that Q had
+            // not received at its checkpoint.
+            let entries = gp.replay_entries(q, q_received);
+            let ops = entries.len() as u64;
+            // Replay is per-message: whole log entries go back on the
+            // wire (the receiver discards any already-consumed prefix).
+            let bytes: u64 = entries.iter().map(|e| e.bytes).sum();
+            // Skip: bytes Q already consumed beyond my rolled-back S.
+            let skip = q_received.saturating_sub(gp.ss(q));
+            stream_replay(&ctx, peer, entries, bytes).await?;
+            Ok::<(u64, u64, u64), RecoveryError>((ops, bytes, skip))
+        }
+    });
     for r in join_all(futs).await {
         let (ops, bytes, skip) = r?;
         resend_ops += ops;
@@ -228,36 +225,32 @@ pub(crate) async fn serve_peer_recovery(
     restarting: &[u32],
 ) -> Result<u64, RecoveryError> {
     let ctx = &p.ctx;
-    let futs: Vec<_> = restarting
-        .iter()
-        .copied()
-        .map(|q| {
-            let ctx = ctx.clone();
-            let gp = Rc::clone(&p.gp);
-            async move {
-                let peer = Rank(q);
-                // I am live: my "received from q" is current, not a snapshot.
-                let my_r = gp.received_from(q);
-                let (_, env) = join2(
-                    ctx.ctrl_send(peer, tags::RESTART_VOL, CTRL_BYTES, Some(Rc::new(my_r))),
-                    ctx.ctrl_recv(peer, tags::RESTART_VOL),
-                )
-                .await;
-                let q_mark = *env.payload_as::<u64>().ok_or(RecoveryError::BadPayload {
-                    at: ctx.rank().0,
-                    from: peer.0,
-                    what: "volume",
-                })?;
-                // Replay everything retained beyond the peer's mark — the
-                // peer lost all of it in the rollback. GC safety
-                // guarantees the retained log still covers [q_mark, S).
-                let entries = gp.replay_entries_live(q, q_mark, gp.sent_to(q));
-                let bytes: u64 = entries.iter().map(|e| e.bytes).sum();
-                stream_replay(&ctx, peer, entries, bytes).await?;
-                Ok::<u64, RecoveryError>(bytes)
-            }
-        })
-        .collect();
+    let futs = restarting.iter().copied().map(|q| {
+        let ctx = ctx.clone();
+        let gp = Rc::clone(&p.gp);
+        async move {
+            let peer = Rank(q);
+            // I am live: my "received from q" is current, not a snapshot.
+            let my_r = gp.received_from(q);
+            let (_, env) = join2(
+                ctx.ctrl_send(peer, tags::RESTART_VOL, CTRL_BYTES, Some(Rc::new(my_r))),
+                ctx.ctrl_recv(peer, tags::RESTART_VOL),
+            )
+            .await;
+            let q_mark = *env.payload_as::<u64>().ok_or(RecoveryError::BadPayload {
+                at: ctx.rank().0,
+                from: peer.0,
+                what: "volume",
+            })?;
+            // Replay everything retained beyond the peer's mark — the
+            // peer lost all of it in the rollback. GC safety
+            // guarantees the retained log still covers [q_mark, S).
+            let entries = gp.replay_entries_live(q, q_mark, gp.sent_to(q));
+            let bytes: u64 = entries.iter().map(|e| e.bytes).sum();
+            stream_replay(&ctx, peer, entries, bytes).await?;
+            Ok::<u64, RecoveryError>(bytes)
+        }
+    });
     let mut total = 0u64;
     for r in join_all(futs).await {
         total += r?;

@@ -290,7 +290,15 @@ impl CkptRuntime {
     /// write, `1` halfway through it, `2` after every write but before
     /// the commit record — and the generation aborts. Re-arming replaces
     /// any previous trap.
-    pub fn arm_crash_trap(&self, group: usize, phase: u8) {
+    ///
+    /// Returns whether the trap can ever fire: [`Mode::Vcl`]'s global
+    /// waves read no traps, so nothing is armed there and it returns
+    /// `false`.
+    #[must_use]
+    pub fn arm_crash_trap(&self, group: usize, phase: u8) -> bool {
+        if self.inner.mode == Mode::Vcl {
+            return false;
+        }
         self.inner.traps.borrow_mut().insert(
             group,
             Rc::new(CrashTrap {
@@ -298,6 +306,7 @@ impl CkptRuntime {
                 fired: Cell::new(false),
             }),
         );
+        true
     }
 
     /// Whether the trap armed on `group` has fired.

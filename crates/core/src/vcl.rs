@@ -42,18 +42,15 @@ pub(crate) async fn vcl_wave(p: &RankProto, wave: u64) {
         let vcl = std::rc::Rc::clone(&p.vcl);
         let peers = peers.clone();
         async move {
-            let futs: Vec<_> = peers
-                .iter()
-                .map(|&peer| {
-                    let ctx = ctx.clone();
-                    let vcl = std::rc::Rc::clone(&vcl);
-                    async move {
-                        ctx.ctrl_recv(peer, tags::MARKER + wave).await;
-                        vcl.marker_from(peer.0);
-                    }
-                })
-                .collect();
-            join_all(futs).await;
+            join_all(peers.iter().map(|&peer| {
+                let ctx = ctx.clone();
+                let vcl = std::rc::Rc::clone(&vcl);
+                async move {
+                    ctx.ctrl_recv(peer, tags::MARKER + wave).await;
+                    vcl.marker_from(peer.0);
+                }
+            }))
+            .await;
         }
     };
 
@@ -83,17 +80,12 @@ pub(crate) async fn vcl_wave(p: &RankProto, wave: u64) {
             }
             let t_img = ctx.now();
             // Flood markers, then reopen the send window.
-            let sends: Vec<_> = peers
-                .iter()
-                .map(|&peer| {
-                    let ctx = ctx.clone();
-                    async move {
-                        ctx.ctrl_send(peer, tags::MARKER + wave, CTRL_BYTES, None)
-                            .await;
-                    }
-                })
-                .collect();
-            join_all(sends).await;
+            join_all(
+                peers
+                    .iter()
+                    .map(|&peer| ctx.ctrl_send(peer, tags::MARKER + wave, CTRL_BYTES, None)),
+            )
+            .await;
             world.unblock_sends(rank);
             t_img
         }

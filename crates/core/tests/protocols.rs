@@ -261,6 +261,21 @@ fn vcl_wave_completes_with_markers() {
 }
 
 #[test]
+fn crash_traps_arm_only_where_waves_read_them() {
+    for (mode, readable) in [
+        (Mode::Blocking, true),
+        (Mode::RbLog, true),
+        (Mode::Cvc, true),
+        (Mode::Vcl, false),
+    ] {
+        let (_sim, world) = make_world(4);
+        let rt = CkptRuntime::install(&world, Rc::new(single(4)), mode, cfg(4));
+        assert_eq!(rt.arm_crash_trap(0, 1), readable, "{mode:?}");
+        assert!(!rt.crash_trap_fired(0), "{mode:?}");
+    }
+}
+
+#[test]
 #[should_panic(expected = "VCL model checkpoints globally")]
 fn vcl_rejects_partitioned_groups() {
     let (_sim, world) = make_world(4);

@@ -294,6 +294,61 @@ impl World {
         cost
     }
 
+    /// A fresh envelope from `src` to `dst`, carrying `src`'s next message
+    /// id and stamped with the current time.
+    fn envelope(
+        &self,
+        src: Rank,
+        dst: Rank,
+        tag: Tag,
+        bytes: u64,
+        kind: MsgKind,
+        payload: Payload,
+    ) -> Envelope {
+        assert!(dst.idx() < self.inner.n, "destination rank out of range");
+        Envelope {
+            src,
+            dst,
+            tag,
+            bytes,
+            id: self.next_msg_id(src),
+            kind,
+            piggyback_rr: None,
+            piggyback_epoch: None,
+            piggyback_ack: None,
+            payload,
+            sent_at: self.inner.sim.now(),
+            arrived_at: SimTime::ZERO,
+        }
+    }
+
+    /// Put an eager message on the wire now: stamp `sent_at`, count app
+    /// traffic, reserve the link and schedule the delivery. Returns when
+    /// the sender's uplink is free again; the caller sleeps until then.
+    /// Synchronous, so no envelope is held across an await.
+    fn put_eager(&self, mut env: Envelope) -> SimTime {
+        env.sent_at = self.inner.sim.now();
+        if env.kind == MsgKind::App {
+            self.inner
+                .counters
+                .borrow_mut()
+                .on_send(env.src, env.dst, env.bytes);
+        }
+        let wire_bytes = env.bytes + self.inner.opts.header_bytes;
+        let timing = self.inner.cluster.network().reserve_transfer_full(
+            env.src.idx(),
+            env.dst.idx(),
+            wire_bytes,
+        );
+        let world = self.clone();
+        // In-flight message: an arena-allocated scheduled call, replacing
+        // a task spawn per message.
+        self.inner
+            .sim
+            .schedule_call(timing.delivered, move || world.deliver(env));
+        timing.tx_done
+    }
+
     /// Deliver a fully-arrived envelope into `dst`'s mailbox, matching a
     /// posted receive if one is waiting.
     fn deliver(&self, mut env: Envelope) {
@@ -417,26 +472,12 @@ impl World {
         kind: MsgKind,
         payload: Payload,
     ) {
-        assert!(dst.idx() < self.inner.n, "destination rank out of range");
         if kind == MsgKind::App {
             self.inner.halt_gates[src.idx()].wait_open().await;
             self.inner.app_gates[src.idx()].wait_open().await;
             self.inner.send_gates[src.idx()].wait_open().await;
         }
-        let mut env = Envelope {
-            src,
-            dst,
-            tag,
-            bytes,
-            id: self.next_msg_id(src),
-            kind,
-            piggyback_rr: None,
-            piggyback_epoch: None,
-            piggyback_ack: None,
-            payload,
-            sent_at: self.inner.sim.now(),
-            arrived_at: SimTime::ZERO,
-        };
+        let mut env = self.envelope(src, dst, tag, bytes, kind, payload);
         let net = Rc::clone(self.inner.cluster.network());
         let opts = &self.inner.opts;
         let rendezvous = kind == MsgKind::App && bytes > opts.eager_threshold && src != dst;
@@ -446,18 +487,8 @@ impl World {
             if !cost.is_zero() {
                 self.inner.sim.sleep(cost).await;
             }
-            env.sent_at = self.inner.sim.now();
-            if kind == MsgKind::App {
-                self.inner.counters.borrow_mut().on_send(src, dst, bytes);
-            }
-            let timing = net.reserve_transfer_full(src.idx(), dst.idx(), bytes + opts.header_bytes);
-            let world = self.clone();
-            // In-flight message: an arena-allocated scheduled call,
-            // replacing a task spawn per message.
-            self.inner
-                .sim
-                .schedule_call(timing.delivered, move || world.deliver(env));
-            self.inner.sim.sleep_until(timing.tx_done).await;
+            let tx_done = self.put_eager(env);
+            self.inner.sim.sleep_until(tx_done).await;
         } else {
             // Rendezvous: RTS → (match) → CTS → data.
             let (grant_tx, grant_rx) = oneshot();
@@ -508,45 +539,19 @@ impl World {
         self.inner.halt_gates[src.idx()].wait_open().await;
         self.inner.app_gates[src.idx()].wait_open().await;
         self.inner.send_gates[src.idx()].wait_open().await;
-        let net = Rc::clone(self.inner.cluster.network());
-        let opts = &self.inner.opts;
         let mut envs = Vec::with_capacity(count as usize);
         let mut cost = SimDuration::ZERO;
         for _ in 0..count {
-            let mut env = Envelope {
-                src,
-                dst,
-                tag,
-                bytes,
-                id: self.next_msg_id(src),
-                kind: MsgKind::App,
-                piggyback_rr: None,
-                piggyback_epoch: None,
-                piggyback_ack: None,
-                payload: None,
-                sent_at: self.inner.sim.now(),
-                arrived_at: SimTime::ZERO,
-            };
+            let mut env = self.envelope(src, dst, tag, bytes, MsgKind::App, None);
             cost += self.run_send_hooks(&mut env);
             envs.push(env);
         }
         if !cost.is_zero() {
             self.inner.sim.sleep(cost).await;
         }
-        let now = self.inner.sim.now();
-        let mut last_tx_done = now;
-        for mut env in envs {
-            env.sent_at = now;
-            self.inner
-                .counters
-                .borrow_mut()
-                .on_send(env.src, env.dst, env.bytes);
-            let timing = net.reserve_transfer_full(src.idx(), dst.idx(), bytes + opts.header_bytes);
-            last_tx_done = timing.tx_done;
-            let world = self.clone();
-            self.inner
-                .sim
-                .schedule_call(timing.delivered, move || world.deliver(env));
+        let mut last_tx_done = self.inner.sim.now();
+        for env in envs {
+            last_tx_done = self.put_eager(env);
         }
         self.inner.sim.sleep_until(last_tx_done).await;
     }
@@ -689,17 +694,21 @@ impl RankCtx {
     // -- protocol-control plane (bypasses gates, uncounted, untraced) ------
 
     /// Send a protocol control message.
+    ///
+    /// Control sends never wait on a gate, run no hook and are always
+    /// eager, so the future holds only the uplink sleep across its await.
     pub async fn ctrl_send(&self, dst: Rank, ctrl_tag: u64, bytes: u64, payload: Payload) {
-        self.world
-            .send_impl(
-                self.rank,
-                dst,
-                Tag::ctrl(ctrl_tag),
-                bytes,
-                MsgKind::Ctrl,
-                payload,
-            )
-            .await;
+        let world = &self.world;
+        let env = world.envelope(
+            self.rank,
+            dst,
+            Tag::ctrl(ctrl_tag),
+            bytes,
+            MsgKind::Ctrl,
+            payload,
+        );
+        let tx_done = world.put_eager(env);
+        world.inner.sim.sleep_until(tx_done).await;
     }
 
     /// Receive a protocol control message.
@@ -895,6 +904,18 @@ mod tests {
         sim.run().unwrap();
         assert_eq!(got.get(), 123);
         assert_eq!(world.pair_stats(Rank(0), Rank(1)).sent_msgs, 0);
+    }
+
+    /// A control send keeps only the uplink sleep across its await, not
+    /// an envelope or rendezvous state: checkpoint waves hold one per
+    /// group peer per rank.
+    #[test]
+    fn ctrl_send_future_stays_small() {
+        let (_sim, world) = make_world(2);
+        let ctx = world.ctx(Rank(0));
+        let fut = ctx.ctrl_send(Rank(1), 4, 32, Some(Rc::new(1u64)));
+        let size = std::mem::size_of_val(&fut);
+        assert!(size <= 96, "ctrl_send future is {size} B");
     }
 
     #[test]

@@ -665,11 +665,12 @@ impl CkptBackend for RestoreBackend {
             };
             match place_replicas(&self.group_of, op.rank, self.k) {
                 Ok(holders) => {
-                    let pushes: Vec<_> = holders
-                        .iter()
-                        .map(|&h| self.network.transfer(op.node, h as usize, op.bytes))
-                        .collect();
-                    join_all(pushes).await;
+                    join_all(
+                        holders
+                            .iter()
+                            .map(|&h| self.network.transfer(op.node, h as usize, op.bytes)),
+                    )
+                    .await;
                     for &h in &holders {
                         self.replicas
                             .push_block(op.group, gen, op.rank, op.bytes, h);
